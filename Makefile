@@ -1,4 +1,5 @@
-# Tier-1 gate: everything CI requires before a merge. The full suite
+# Tier-1 gate: everything CI requires before a merge. Formatting is
+# checked first (gofmt over tracked files). The full suite
 # runs without the race detector; the concurrency-heavy packages (the
 # exploration engine, the pool server and the job service) re-run under
 # -race, which is where data races would actually live. The service
@@ -9,6 +10,7 @@
 # requeue recovers its chunks.
 .PHONY: check
 check: build
+	$(MAKE) fmt-check
 	go vet ./...
 	$(MAKE) lint
 	$(MAKE) lint-json
@@ -17,6 +19,14 @@ check: build
 	go run ./cmd/benchreport -trajectory
 	./scripts/smoke_service.sh
 	./scripts/smoke_distributed.sh
+
+# gofmt gate over every tracked Go file; analyzer fixtures under
+# testdata/ are exempt (they may hold deliberately odd code). Prints
+# the offending files and fails when any needs formatting.
+.PHONY: fmt-check
+fmt-check:
+	@files="$$(gofmt -l $$(git ls-files '*.go' | grep -v /testdata/))"; \
+	if [ -n "$$files" ]; then echo "gofmt needed:"; echo "$$files"; exit 1; fi
 
 # Domain-aware static analysis (unit discipline, float hygiene, error
 # propagation, context/goroutine/lock dataflow). Non-zero exit on any

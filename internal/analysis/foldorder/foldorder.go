@@ -17,7 +17,9 @@
 // appends to is tainted outright (concurrent appends interleave
 // nondeterministically even under a mutex). Sinks and sanitizers are
 // shared with detflow: JSON/CSV emission and //asic:canonical
-// functions; sort.*/slices.Sort* restore a canonical order.
+// functions; sort.*/slices.Sort* restore a canonical order, and so does
+// a module-local helper that sorts its argument in place on every path
+// (taint.Summary.ParamSanitize) or returns a sorted slice.
 // ResultMerger needs no special case: its Finish sorts internally, and
 // its accumulated state lives on the receiver, which the engine
 // deliberately does not track — the merger is the sanctioned path.

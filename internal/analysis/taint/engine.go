@@ -102,6 +102,13 @@ type funcRun struct {
 	paramSinks []*ParamSinkRef // non-nil in summary mode
 	retTaints  []Taint         // per result index
 	final      bool            // reporting pass (post-fixpoint)
+
+	// Summary mode only: params indexes the parameter variables,
+	// paramSanitize collects the in-place kills applied to them, and
+	// exits holds the converged state at every exit block.
+	params        map[types.Object]int
+	paramSanitize []*ParamSanitizer
+	exits         []state
 }
 
 func (e *engine) newFuncRun(fnNode ast.Node, fn *types.Func, info *types.Info, depth int) *funcRun {
@@ -247,8 +254,63 @@ func (fr *funcRun) run(seeds state) {
 		if in[b.Index] == nil {
 			continue // unreachable
 		}
-		fr.transfer(in[b.Index].clone(), b)
+		out := fr.transfer(in[b.Index].clone(), b)
+		if fr.params != nil && len(b.Succs) == 0 {
+			fr.exits = append(fr.exits, out)
+		}
 	}
+}
+
+// sanitizedParams finalizes a summary's ParamSanitize: parameter i
+// counts as sanitized in place only when a sanitizer was applied to it,
+// its pseudo-kind is gone at every exit (so no path skips the kill),
+// and the body never rebinds the parameter variable (which would also
+// drop the pseudo-kind without touching the caller's value). Variadic
+// parameters are excluded: the call site passes a fresh slice.
+func (fr *funcRun) sanitizedParams(body *ast.BlockStmt, sig *types.Signature) []*ParamSanitizer {
+	if len(fr.exits) == 0 {
+		return nil
+	}
+	var out []*ParamSanitizer
+	for obj, i := range fr.params {
+		ps := fr.paramSanitize[i]
+		if ps == nil || (sig.Variadic() && i == sig.Params().Len()-1) || rebinds(fr.info, body, obj) {
+			continue
+		}
+		kept := true
+		for _, st := range fr.exits {
+			if st[obj].has(paramKind(i)) {
+				kept = false
+				break
+			}
+		}
+		if !kept {
+			continue
+		}
+		if out == nil {
+			out = make([]*ParamSanitizer, len(fr.paramSanitize))
+		}
+		out[i] = ps
+	}
+	return out
+}
+
+// rebinds reports whether body assigns to obj as a whole variable.
+func rebinds(info *types.Info, body *ast.BlockStmt, obj types.Object) bool {
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		as, ok := n.(*ast.AssignStmt)
+		if !ok || found {
+			return !found
+		}
+		for _, l := range as.Lhs {
+			if id, ok := ast.Unparen(l).(*ast.Ident); ok && info.Uses[id] == obj {
+				found = true
+			}
+		}
+		return !found
+	})
+	return found
 }
 
 // transfer applies one block's nodes to st in execution order.
@@ -649,6 +711,15 @@ func (fr *funcRun) callN(st state, call *ast.CallExpr) (Taint, []Taint) {
 					call.Args[i].Pos(), callee.Name())
 			}
 		}
+		// A callee that sanitizes a parameter in place (a sorting
+		// helper) sanitizes the caller's argument, exactly as the
+		// direct sanitizer call inside it would.
+		for i := range call.Args {
+			if i < len(sum.ParamSanitize) && sum.ParamSanitize[i] != nil {
+				ps := sum.ParamSanitize[i]
+				fr.sanitizeObj(st, call.Args[i], ps.Kills, ps.KillParams)
+			}
+		}
 		// Resolve each result slot's taint: param pseudo-kinds stand for
 		// the matching arguments' taints, everything else passes through.
 		perResult := make([]Taint, len(sum.Results))
@@ -714,10 +785,15 @@ func (fr *funcRun) builtin(st state, name string, call *ast.CallExpr) Taint {
 }
 
 // sanitizeObj removes the killed kinds from the root variable of arg.
+// In summary mode a kill applied to a parameter variable is recorded
+// for the summary's ParamSanitize.
 func (fr *funcRun) sanitizeObj(st state, arg ast.Expr, kills func(Kind) bool, killParams bool) {
 	obj := rootObj(fr.info, arg)
 	if obj == nil {
 		return
+	}
+	if i, ok := fr.params[obj]; ok && fr.final {
+		fr.paramSanitize[i] = fr.paramSanitize[i].both(&ParamSanitizer{Kills: kills, KillParams: killParams})
 	}
 	var kept Taint
 	for _, s := range st[obj] {

@@ -18,6 +18,34 @@ type Summary struct {
 	// sink inside the body (directly or through further calls), so the
 	// call site must treat the argument as sunk.
 	ParamSink []*ParamSinkRef
+	// ParamSanitize[i], when non-nil, reports that the body sanitizes
+	// parameter i in place on every path to its exits (a helper that
+	// sorts its argument), so the call site applies the same kill to
+	// the argument's variable.
+	ParamSanitize []*ParamSanitizer
+}
+
+// ParamSanitizer is the in-place kill a callee applies to a parameter,
+// as reported by Spec.Sanitize (or by a further summarized callee).
+type ParamSanitizer struct {
+	// Kills reports which kinds the callee removes from the argument.
+	Kills func(Kind) bool
+	// KillParams extends the kill to parameter pseudo-kinds, so a helper
+	// of a helper still re-cleans its own caller's argument.
+	KillParams bool
+}
+
+// both returns the kill common to s and o: a parameter sanitized by
+// two different calls only reliably loses what both of them kill.
+func (s *ParamSanitizer) both(o *ParamSanitizer) *ParamSanitizer {
+	if s == nil {
+		return o
+	}
+	k1, k2 := s.Kills, o.Kills
+	return &ParamSanitizer{
+		Kills:      func(k Kind) bool { return k1 != nil && k2 != nil && k1(k) && k2(k) },
+		KillParams: s.KillParams && o.KillParams,
+	}
 }
 
 // ParamSinkRef describes the sink a parameter reaches inside a callee.
@@ -72,14 +100,18 @@ func (e *engine) summaryOf(fn *types.Func, depth int) *Summary {
 	}
 	np := sig.Params().Len()
 	seeds := make(state, np)
+	fr := e.newFuncRun(decl, fn, info, depth)
+	fr.params = make(map[types.Object]int, np)
 	for i := 0; i < np; i++ {
 		p := sig.Params().At(i)
 		seeds[p] = Taint{{Pos: p.Pos(), Kind: paramKind(i), Desc: "parameter " + p.Name()}}
+		fr.params[p] = i
 	}
-	fr := e.newFuncRun(decl, fn, info, depth)
 	fr.paramSinks = make([]*ParamSinkRef, np)
+	fr.paramSanitize = make([]*ParamSanitizer, np)
 	fr.run(seeds)
-	ent.sum = &Summary{Results: fr.retTaints, ParamSink: fr.paramSinks}
+	ent.sum = &Summary{Results: fr.retTaints, ParamSink: fr.paramSinks,
+		ParamSanitize: fr.sanitizedParams(decl.Body, sig)}
 	ent.done = true
 	return ent.sum
 }

@@ -310,43 +310,25 @@ func (e *Engine) EvaluateChunk(ctx context.Context, sweep Sweep, model tco.Model
 		scratch []Point
 		column  []server.Evaluation
 	)
-	fold := pareto.NewFold(pointDollars, pointWatts)
-	cfold := pareto.NewFold(pointTCO, pointCO2)
-	var energy, cost, tcoOpt, carbonOpt optAcc
+	folded := newFoldState()
 	for _, g := range grid.work[lo:hi] {
 		if err := ctx.Err(); err != nil {
 			return ChunkResult{}, fmt.Errorf("core: chunk %d aborted: %w", chunk, err)
 		}
 		scratch = scratch[:0]
 		scratch, column = e.evalCell(g, sweep.Base, grid, model, scratch, column, &sum, &ctr)
-		for _, p := range scratch {
-			fold.Add(p)
-			cfold.Add(p)
-			energy.add(p.WattsPerOp, p)
-			cost.add(p.DollarsPerOp, p)
-			tcoOpt.add(p.TCOPerOp(), p)
-			carbonOpt.add(p.CO2PerOp(), p)
+		for i := range scratch {
+			folded.add(&scratch[i])
 		}
 	}
-	res := ChunkResult{Chunk: chunk, NumChunks: numChunks,
-		Frontier: fold.Points(), CarbonFrontier: cfold.Points(), Pruned: sum}
-	if energy.ok {
-		p := energy.p
-		res.EnergyOptimal = &p
-	}
-	if cost.ok {
-		p := cost.p
-		res.CostOptimal = &p
-	}
-	if tcoOpt.ok {
-		p := tcoOpt.p
-		res.TCOOptimal = &p
-	}
-	if carbonOpt.ok {
-		p := carbonOpt.p
-		res.CarbonOptimal = &p
-	}
-	return res, nil
+	return ChunkResult{Chunk: chunk, NumChunks: numChunks,
+		Frontier:       folded.fold.Points(),
+		CarbonFrontier: folded.cfold.Points(),
+		EnergyOptimal:  folded.energy.point(),
+		CostOptimal:    folded.cost.point(),
+		TCOOptimal:     folded.tcoOpt.point(),
+		CarbonOptimal:  folded.carbonOpt.point(),
+		Pruned:         sum}, nil
 }
 
 // ResultMerger folds ChunkResults back into one Result. Merging is
@@ -354,45 +336,39 @@ func (e *Engine) EvaluateChunk(ctx context.Context, sweep Sweep, model tco.Model
 // the caller guarantees each chunk index is merged exactly once (the
 // pool's first-result-wins dedup provides this under requeue).
 type ResultMerger struct {
-	fold      *pareto.Fold[Point]
-	cfold     *pareto.Fold[Point]
-	energy    optAcc
-	cost      optAcc
-	tcoOpt    optAcc
-	carbonOpt optAcc
-	summary   PruneSummary
-	merged    int
+	folded  *foldState
+	summary PruneSummary
+	merged  int
 }
 
 // NewResultMerger seeds a merger with the plan's grid-build prune
 // accounting (counted exactly once per sweep, never per chunk).
 func NewResultMerger(plan *SweepPlan) *ResultMerger {
-	return &ResultMerger{
-		fold:    pareto.NewFold(pointDollars, pointWatts),
-		cfold:   pareto.NewFold(pointTCO, pointCO2),
-		summary: plan.GridSummary(),
-	}
+	return &ResultMerger{folded: newFoldState(), summary: plan.GridSummary()}
 }
 
 // Add folds one chunk's contribution in.
 func (m *ResultMerger) Add(cr ChunkResult) {
-	for _, p := range cr.Frontier {
-		m.fold.Add(p)
+	s := m.folded
+	for i := range cr.Frontier {
+		p := &cr.Frontier[i]
+		s.fold.AddKeys(p.DollarsPerOp, p.WattsPerOp, p)
 	}
-	for _, p := range cr.CarbonFrontier {
-		m.cfold.Add(p)
+	for i := range cr.CarbonFrontier {
+		p := &cr.CarbonFrontier[i]
+		s.cfold.AddKeys(p.TCO.Total(), p.Carbon.Total(), p)
 	}
-	if cr.EnergyOptimal != nil {
-		m.energy.add(cr.EnergyOptimal.WattsPerOp, *cr.EnergyOptimal)
+	if p := cr.EnergyOptimal; p != nil {
+		s.energy.add(p.WattsPerOp, p)
 	}
-	if cr.CostOptimal != nil {
-		m.cost.add(cr.CostOptimal.DollarsPerOp, *cr.CostOptimal)
+	if p := cr.CostOptimal; p != nil {
+		s.cost.add(p.DollarsPerOp, p)
 	}
-	if cr.TCOOptimal != nil {
-		m.tcoOpt.add(cr.TCOOptimal.TCOPerOp(), *cr.TCOOptimal)
+	if p := cr.TCOOptimal; p != nil {
+		s.tcoOpt.add(p.TCO.Total(), p)
 	}
-	if cr.CarbonOptimal != nil {
-		m.carbonOpt.add(cr.CarbonOptimal.CO2PerOp(), *cr.CarbonOptimal)
+	if p := cr.CarbonOptimal; p != nil {
+		s.carbonOpt.add(p.Carbon.Total(), p)
 	}
 	m.summary.merge(cr.Pruned)
 	m.merged++
@@ -412,37 +388,37 @@ func (m *ResultMerger) Finish() (Result, error) {
 		return res, fmt.Errorf(
 			"core: no feasible design point in the swept space (%s)", m.summary)
 	}
-	finishFold(m.fold, m.cfold, m.energy, m.cost, m.tcoOpt, m.carbonOpt, &res)
+	finishFold(m.folded, &res)
 	return res, nil
 }
 
 // finishFold turns fold survivors and optimum accumulators into the
 // reported frontiers and optima. Each fold's survivor set is
 // order-independent; sorting it and re-running Frontier applies the
-// same duplicate tie-breaking the retaining path does, so both the
-// (dollars, watts) frontier and the (TCO, CO2e) frontier are
-// byte-identical however the points were folded.
+// same duplicate tie-breaking a frontier over every point in lessPoint
+// order would, so both the (dollars, watts) frontier and the (TCO, CO2e)
+// frontier are byte-identical however the points were folded.
 //
 //asic:canonical
-func finishFold(fold, cfold *pareto.Fold[Point], energy, cost, tcoOpt, carbonOpt optAcc, res *Result) {
-	surv := fold.Points()
-	sort.Slice(surv, func(i, j int) bool { return lessPoint(surv[i], surv[j]) })
+func finishFold(s *foldState, res *Result) {
+	surv := s.fold.Points()
+	sort.Slice(surv, func(i, j int) bool { return lessPoint(&surv[i], &surv[j]) })
 	fr := pareto.Frontier(surv, pointDollars, pointWatts)
 	res.Frontier = pareto.Select(surv, fr)
-	csurv := cfold.Points()
-	sort.Slice(csurv, func(i, j int) bool { return lessPoint(csurv[i], csurv[j]) })
+	csurv := s.cfold.Points()
+	sort.Slice(csurv, func(i, j int) bool { return lessPoint(&csurv[i], &csurv[j]) })
 	cfr := pareto.Frontier(csurv, pointTCO, pointCO2)
 	res.CarbonFrontier = pareto.Select(csurv, cfr)
-	if energy.ok {
-		res.EnergyOptimal = energy.p
+	if p := s.energy.point(); p != nil {
+		res.EnergyOptimal = *p
 	}
-	if cost.ok {
-		res.CostOptimal = cost.p
+	if p := s.cost.point(); p != nil {
+		res.CostOptimal = *p
 	}
-	if tcoOpt.ok {
-		res.TCOOptimal = tcoOpt.p
+	if p := s.tcoOpt.point(); p != nil {
+		res.TCOOptimal = *p
 	}
-	if carbonOpt.ok {
-		res.CarbonOptimal = carbonOpt.p
+	if p := s.carbonOpt.point(); p != nil {
+		res.CarbonOptimal = *p
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"log/slog"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -45,10 +46,10 @@ const DefaultChunkSize = 4
 // The zero-value fields select defaults; an Engine must be created with
 // NewEngine. Engines are safe for concurrent use.
 type Engine struct {
-	// DiscardPoints switches the sweep to the streaming Pareto fold:
-	// Result.Points comes back nil and peak memory is bounded by the
-	// frontier size instead of the feasible set. Frontier and the three
-	// optima are byte-identical to a retaining run.
+	// DiscardPoints drops Result.Points: it comes back nil and peak
+	// memory is bounded by the frontier size instead of the feasible
+	// set. Frontier and the optima come from the same streaming Pareto
+	// fold either way, so they are byte-identical to a retaining run.
 	DiscardPoints bool
 	// ChunkSize is the number of geometries per scheduling chunk
 	// (0 selects DefaultChunkSize).
@@ -199,7 +200,9 @@ func (e *Engine) evalGeometry(cfg server.Config, plan thermal.OptimizeResult,
 }
 
 // pointDollars and pointWatts are the two classic Pareto objectives;
-// pointTCO and pointCO2 are the axes of the carbon frontier.
+// pointTCO and pointCO2 are the axes of the carbon frontier. They are
+// the folds' by-value accessors; the sweep itself reads the same keys
+// by pointer (see foldState.add and sortedPoints).
 func pointDollars(p Point) float64 { return p.DollarsPerOp }
 func pointWatts(p Point) float64   { return p.WattsPerOp }
 func pointTCO(p Point) float64     { return p.TCOPerOp() }
@@ -210,7 +213,7 @@ func pointCO2(p Point) float64     { return p.CO2PerOp() }
 // coordinates so exact metric ties still order identically regardless
 // of scheduling. NaN metrics order last (pareto.Compare), keeping the
 // sort a strict weak order even for degenerate points.
-func lessPoint(a, b Point) bool {
+func lessPoint(a, b *Point) bool {
 	if c := pareto.Compare(a.DollarsPerOp, b.DollarsPerOp); c != 0 {
 		return c < 0
 	}
@@ -232,6 +235,53 @@ func lessPoint(a, b Point) bool {
 	return a.Config.DRAM.PerASIC < b.Config.DRAM.PerASIC
 }
 
+// sortKey is the compact record sortedPoints orders instead of whole
+// Points: lessPoint's leading key and the point it stands for.
+type sortKey struct {
+	dollars float64
+	p       *Point
+}
+
+// sortedPoints gathers the points of every chunk into one exact-size
+// slice in lessPoint order. The sort moves 16-byte keys rather than
+// 1 KB Points, and each Point is copied exactly once, into its final
+// place. Keys that tie on $ per op/s fall back to lessPoint on the
+// points themselves, so the order is lessPoint's by construction. The
+// output is read through the sorted keys, so it takes its order from
+// the sort alone, whatever order the chunks arrived in.
+func sortedPoints(chunks [][]Point) []Point {
+	n := 0
+	for _, pts := range chunks {
+		n += len(pts)
+	}
+	// The output is allocated before the keys: on a large sweep that
+	// allocation is what starts a collection, and keys allocated after
+	// it can reuse what it frees instead of adding to the peak heap.
+	out := make([]Point, n)
+	keys := make([]sortKey, 0, n)
+	for _, pts := range chunks {
+		for i := range pts {
+			keys = append(keys, sortKey{pts[i].DollarsPerOp, &pts[i]})
+		}
+	}
+	slices.SortFunc(keys, func(a, b sortKey) int {
+		if c := pareto.Compare(a.dollars, b.dollars); c != 0 {
+			return c
+		}
+		switch {
+		case lessPoint(a.p, b.p):
+			return -1
+		case lessPoint(b.p, a.p):
+			return 1
+		}
+		return 0
+	})
+	for i, k := range keys {
+		out[i] = *k.p
+	}
+	return out
+}
+
 // optAcc tracks a running argmin with lessPoint as the tie-break, so a
 // streaming fold selects exactly the point pareto.ArgMin would pick
 // from the lessPoint-sorted slice. NaN values never win.
@@ -241,20 +291,69 @@ type optAcc struct {
 	p  Point
 }
 
-func (a *optAcc) add(v float64, p Point) {
+// add offers *p with objective value v; the point is copied only when
+// it becomes the new optimum.
+func (a *optAcc) add(v float64, p *Point) {
 	if math.IsNaN(v) {
 		return
 	}
 	//lint:ignore floatcmp the tie-break must fire on exact metric equality to mirror ArgMin over a sorted slice
-	if !a.ok || v < a.v || (v == a.v && lessPoint(p, a.p)) {
-		a.ok, a.v, a.p = true, v, p
+	if !a.ok || v < a.v || (v == a.v && lessPoint(p, &a.p)) {
+		a.ok, a.v, a.p = true, v, *p
 	}
 }
 
-func (a *optAcc) merge(o optAcc) {
-	if o.ok {
-		a.add(o.v, o.p)
+// point returns a copy of the optimum, or nil when no point was
+// offered.
+func (a *optAcc) point() *Point {
+	if !a.ok {
+		return nil
 	}
+	p := a.p
+	return &p
+}
+
+func (a *optAcc) merge(o *optAcc) {
+	if o.ok {
+		a.add(o.v, &o.p)
+	}
+}
+
+// foldState is the streaming reduction of a sweep, or of one chunk of
+// it: the (dollars, watts) and (TCO, CO2e) Pareto folds plus the four
+// optimum accumulators. Workers, chunk evaluation and ResultMerger all
+// reduce through it, so every path folds points identically.
+type foldState struct {
+	fold, cfold                     *pareto.Fold[Point]
+	energy, cost, tcoOpt, carbonOpt optAcc
+}
+
+func newFoldState() *foldState {
+	return &foldState{
+		fold:  pareto.NewFold(pointDollars, pointWatts),
+		cfold: pareto.NewFold(pointTCO, pointCO2),
+	}
+}
+
+// add folds one point in by pointer, reading each objective once.
+func (s *foldState) add(p *Point) {
+	t, c := p.TCO.Total(), p.Carbon.Total()
+	s.fold.AddKeys(p.DollarsPerOp, p.WattsPerOp, p)
+	s.cfold.AddKeys(t, c, p)
+	s.energy.add(p.WattsPerOp, p)
+	s.cost.add(p.DollarsPerOp, p)
+	s.tcoOpt.add(t, p)
+	s.carbonOpt.add(c, p)
+}
+
+// merge folds another state's survivors and optima into s.
+func (s *foldState) merge(o *foldState) {
+	s.fold.Merge(o.fold)
+	s.cfold.Merge(o.cfold)
+	s.energy.merge(&o.energy)
+	s.cost.merge(&o.cost)
+	s.tcoOpt.merge(&o.tcoOpt)
+	s.carbonOpt.merge(&o.carbonOpt)
 }
 
 // geom is one deduplicated cell of the geometry grid.
@@ -272,10 +371,10 @@ type geom struct {
 // (Generated == Feasible + PrunedTotal still holds on abort).
 //
 // Scheduling is deterministic: the geometry list is split into fixed
-// chunks, workers claim chunks dynamically, and results are folded back
-// in chunk order (or through the order-independent streaming Pareto
-// fold when DiscardPoints is set), so Result is identical for any
-// worker count and any scheduling interleave.
+// chunks, workers claim chunks dynamically, every point goes through
+// the order-independent streaming Pareto fold, and retained points are
+// put in lessPoint order, so Result is identical for any worker count
+// and any scheduling interleave.
 func (e *Engine) ExploreContext(ctx context.Context, sweep Sweep, model tco.Model) (Result, error) {
 	if err := model.Validate(); err != nil {
 		return Result{}, err
@@ -326,9 +425,7 @@ func (e *Engine) ExploreContext(ctx context.Context, sweep Sweep, model tco.Mode
 	if keep {
 		chunkPoints = make([][]Point, numChunks)
 	}
-	fold := pareto.NewFold(pointDollars, pointWatts)
-	carbonFold := pareto.NewFold(pointTCO, pointCO2)
-	var energyAcc, costAcc, tcoAcc, carbonAcc optAcc
+	folded := newFoldState()
 	var (
 		mu        sync.Mutex
 		wg        sync.WaitGroup
@@ -353,12 +450,7 @@ func (e *Engine) ExploreContext(ctx context.Context, sweep Sweep, model tco.Mode
 			defer wg.Done()
 			var (
 				localSum   PruneSummary
-				localFold  *pareto.Fold[Point]
-				localCFold *pareto.Fold[Point]
-				localE     optAcc
-				localC     optAcc
-				localT     optAcc
-				localCO2   optAcc
+				local      = newFoldState()
 				workerFrom = time.Now()
 				busy       time.Duration
 				// Per-worker scratch, reused across every chunk this
@@ -370,10 +462,6 @@ func (e *Engine) ExploreContext(ctx context.Context, sweep Sweep, model tco.Mode
 				scratch []Point
 				column  []server.Evaluation
 			)
-			if !keep {
-				localFold = pareto.NewFold(pointDollars, pointWatts)
-				localCFold = pareto.NewFold(pointTCO, pointCO2)
-			}
 			for ctx.Err() == nil {
 				c := int(nextChunk.Add(1)) - 1
 				if c >= numChunks {
@@ -407,13 +495,8 @@ func (e *Engine) ExploreContext(ctx context.Context, sweep Sweep, model tco.Mode
 					copy(pts, scratch)
 					chunkPoints[c] = pts
 				} else {
-					for _, p := range scratch {
-						localFold.Add(p)
-						localCFold.Add(p)
-						localE.add(p.WattsPerOp, p)
-						localC.add(p.DollarsPerOp, p)
-						localT.add(p.TCOPerOp(), p)
-						localCO2.add(p.CO2PerOp(), p)
+					for i := range scratch {
+						local.add(&scratch[i])
 					}
 				}
 				chunkSpan.End()
@@ -424,14 +507,7 @@ func (e *Engine) ExploreContext(ctx context.Context, sweep Sweep, model tco.Mode
 			}
 			mu.Lock()
 			summary.merge(localSum)
-			if !keep {
-				fold.Merge(localFold)
-				carbonFold.Merge(localCFold)
-				energyAcc.merge(localE)
-				costAcc.merge(localC)
-				tcoAcc.merge(localT)
-				carbonAcc.merge(localCO2)
-			}
+			folded.merge(local)
 			mu.Unlock()
 		}(w)
 	}
@@ -461,40 +537,19 @@ func (e *Engine) ExploreContext(ctx context.Context, sweep Sweep, model tco.Mode
 	paretoSpan := root.Child("pareto")
 	res := Result{Pruned: summary}
 	if keep {
-		var n int
-		for _, pts := range chunkPoints {
-			n += len(pts)
+		// The retained points are folded once they are in place, by
+		// pointer: no per-point key arrays for the frontiers and optima.
+		res.Points = sortedPoints(chunkPoints)
+		for i := range res.Points {
+			folded.add(&res.Points[i])
 		}
-		points := make([]Point, 0, n)
-		for _, pts := range chunkPoints {
-			points = append(points, pts...)
-		}
-		// Deterministic order regardless of scheduling.
-		sort.Slice(points, func(i, j int) bool { return lessPoint(points[i], points[j]) })
-		res.Points = points
-		fr := pareto.Frontier(points, pointDollars, pointWatts)
-		res.Frontier = pareto.Select(points, fr)
-		if i := pareto.ArgMin(points, pointWatts); i >= 0 {
-			res.EnergyOptimal = points[i]
-		}
-		if i := pareto.ArgMin(points, pointDollars); i >= 0 {
-			res.CostOptimal = points[i]
-		}
-		if i := pareto.ArgMin(points, Point.TCOPerOp); i >= 0 {
-			res.TCOOptimal = points[i]
-		}
-		if i := pareto.ArgMin(points, Point.CO2PerOp); i >= 0 {
-			res.CarbonOptimal = points[i]
-		}
-		cfr := pareto.Frontier(points, pointTCO, pointCO2)
-		res.CarbonFrontier = pareto.Select(points, cfr)
-	} else {
-		// finishFold applies the same sort → Frontier normalization the
-		// retaining path does, so the frontier is byte-identical; it is
-		// shared with ResultMerger.Finish, which is what keeps a
-		// distributed merge byte-identical to this path too.
-		finishFold(fold, carbonFold, energyAcc, costAcc, tcoAcc, carbonAcc, &res)
 	}
+	// Both paths report frontiers and optima from the fold:
+	// finishFold applies lessPoint's tie-breaking to the survivors, so
+	// they are byte-identical to a frontier and argmin over every point
+	// in lessPoint order, and it is shared with ResultMerger.Finish,
+	// which keeps a distributed merge byte-identical too.
+	finishFold(folded, &res)
 	paretoSpan.End()
 	rec.Gauge("asiccloud_explore_frontier_size").Set(float64(len(res.Frontier)))
 	return res, nil

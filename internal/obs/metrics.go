@@ -78,6 +78,9 @@ type Histogram struct {
 	counts []int64   // len(bounds)+1; last is the +Inf bucket
 	sum    float64
 	count  int64
+	// min and max are the extreme observations, which bound every
+	// quantile estimate (valid once count > 0).
+	min, max float64
 }
 
 // LatencyBuckets is the fixed default layout for durations in seconds,
@@ -106,6 +109,12 @@ func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
 	h.counts[i]++
 	h.sum += v
+	if h.count == 0 || v < h.min {
+		h.min = v
+	}
+	if h.count == 0 || v > h.max {
+		h.max = v
+	}
 	h.count++
 }
 
@@ -131,7 +140,10 @@ func (h *Histogram) Sum() float64 {
 
 // Quantile estimates the q-quantile (0..1) by linear interpolation
 // inside the owning bucket, the same estimate Prometheus's
-// histogram_quantile uses. Returns NaN when empty.
+// histogram_quantile uses, then clamps it to the observed minimum and
+// maximum: interpolation assumes samples spread across the bucket, so
+// without the clamp a single 0.080 s sample would report p50 = 0.075
+// and p99 = 0.0995. Returns NaN when empty.
 func (h *Histogram) Quantile(q float64) float64 {
 	if h == nil {
 		return math.NaN()
@@ -141,6 +153,12 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if h.count == 0 {
 		return math.NaN()
 	}
+	return min(max(h.interpolate(q), h.min), h.max)
+}
+
+// interpolate is the unclamped bucket estimate; callers hold h.mu and
+// guarantee h.count > 0.
+func (h *Histogram) interpolate(q float64) float64 {
 	rank := q * float64(h.count)
 	var cum int64
 	for i, c := range h.counts {
@@ -148,7 +166,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 		if float64(cum) < rank {
 			continue
 		}
-		if i >= len(h.bounds) { // +Inf bucket: clamp to the last bound
+		if i >= len(h.bounds) { // +Inf bucket: the last bound, then the clamp
 			if len(h.bounds) == 0 {
 				return math.NaN()
 			}

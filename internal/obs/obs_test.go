@@ -90,6 +90,27 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
+// TestHistogramQuantileClampsToObserved pins the min/max clamp: bucket
+// interpolation alone would place a lone 0.080 s sample at 0.075 (p50)
+// and 0.0995 (p99) inside its (0.05, 0.1] bucket.
+func TestHistogramQuantileClampsToObserved(t *testing.T) {
+	reg := NewRegistry()
+	h := reg.Histogram("lone", LatencyBuckets())
+	h.Observe(0.080)
+	for _, q := range []float64{0.5, 0.99} {
+		if got := h.Quantile(q); got != 0.080 {
+			t.Errorf("q%v = %v, want 0.080", q, got)
+		}
+	}
+	h.Observe(0.060)
+	if got := h.Quantile(0); got != 0.060 {
+		t.Errorf("q0 = %v, want the observed minimum 0.060", got)
+	}
+	if got := h.Quantile(1); got != 0.080 {
+		t.Errorf("q1 = %v, want the observed maximum 0.080", got)
+	}
+}
+
 func TestPrometheusExposition(t *testing.T) {
 	reg := NewRegistry()
 	reg.SetHelp("asiccloud_explore_configs_total", "candidate configurations generated")

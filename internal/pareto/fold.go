@@ -27,10 +27,18 @@ import (
 // Merge under a lock.
 type Fold[T any] struct {
 	x, y func(T) float64
-	// pts is sorted by (x asc, y asc). Across distinct retained points y
-	// is strictly decreasing as x increases (the Pareto staircase); the
-	// only coincident entries are exact coordinate duplicates.
-	pts []T
+	// entries is sorted by (x asc, y asc). Across distinct retained
+	// points y is strictly decreasing as x increases (the Pareto
+	// staircase); the only coincident entries are exact coordinate
+	// duplicates. Each entry carries its objectives, so neither the
+	// search nor the dominance checks call the accessors again.
+	entries []foldEntry[T]
+}
+
+// foldEntry is one retained point with its objective keys.
+type foldEntry[T any] struct {
+	x, y float64
+	p    T
 }
 
 // NewFold returns an empty fold over the two objective functions.
@@ -39,7 +47,7 @@ func NewFold[T any](x, y func(T) float64) *Fold[T] {
 }
 
 // Len is the number of retained (non-dominated) points.
-func (f *Fold[T]) Len() int { return len(f.pts) }
+func (f *Fold[T]) Len() int { return len(f.entries) }
 
 // Add folds one point in: a no-op if p is dominated by (or has a NaN
 // objective alongside) the retained set, otherwise p is inserted and
@@ -50,26 +58,35 @@ func (f *Fold[T]) Len() int { return len(f.pts) }
 //
 //asic:hotpath
 func (f *Fold[T]) Add(p T) {
-	px, py := f.x(p), f.y(p)
+	f.AddKeys(f.x(p), f.y(p), &p)
+}
+
+// AddKeys is Add with the objectives already computed: px and py must
+// be the fold's x and y accessors applied to *p. Callers holding large
+// points in a buffer use it to fold them by pointer; *p is copied only
+// if it is retained.
+//
+//asic:hotpath
+func (f *Fold[T]) AddKeys(px, py float64, p *T) {
 	if math.IsNaN(px) || math.IsNaN(py) {
 		return
 	}
 	// First retained index at or after p in (x asc, y asc) order.
 	//lint:ignore hotalloc the closure only captures stack locals and f, so escape analysis keeps it off the heap
-	pos := sort.Search(len(f.pts), func(i int) bool {
-		xi := f.x(f.pts[i])
+	pos := sort.Search(len(f.entries), func(i int) bool {
+		e := &f.entries[i]
 		//lint:ignore floatcmp the staircase invariant needs an exact lexicographic order over coordinates
-		if xi != px {
-			return xi > px
+		if e.x != px {
+			return e.x > px
 		}
-		return f.y(f.pts[i]) >= py
+		return e.y >= py
 	})
 	// Only the nearest retained point to the left can dominate p: every
 	// point further left has larger-or-equal y by the staircase
 	// invariant, so it dominates p only if that neighbor does too.
 	if pos > 0 {
-		q := f.pts[pos-1]
-		if Dominates(f.x(q), f.y(q), px, py) {
+		q := &f.entries[pos-1]
+		if Dominates(q.x, q.y, px, py) {
 			return
 		}
 	}
@@ -77,30 +94,31 @@ func (f *Fold[T]) Add(p T) {
 	// and, until y drops below py, y >= py. Exact duplicates terminate
 	// the run immediately (neither point dominates the other).
 	end := pos
-	for end < len(f.pts) {
-		q := f.pts[end]
-		if !Dominates(px, py, f.x(q), f.y(q)) {
+	for end < len(f.entries) {
+		q := &f.entries[end]
+		if !Dominates(px, py, q.x, q.y) {
 			break
 		}
 		end++
 	}
 	if end > pos {
-		f.pts[pos] = p
+		f.entries[pos] = foldEntry[T]{x: px, y: py, p: *p}
 		//lint:ignore hotalloc shifts within capacity; growth is bounded by the frontier size, not the point count
-		f.pts = append(f.pts[:pos+1], f.pts[end:]...)
+		f.entries = append(f.entries[:pos+1], f.entries[end:]...)
 		return
 	}
-	var zero T
 	//lint:ignore hotalloc growth is bounded by the frontier size, not the point count
-	f.pts = append(f.pts, zero)
-	copy(f.pts[pos+1:], f.pts[pos:])
-	f.pts[pos] = p
+	f.entries = append(f.entries, foldEntry[T]{})
+	copy(f.entries[pos+1:], f.entries[pos:])
+	f.entries[pos] = foldEntry[T]{x: px, y: py, p: *p}
 }
 
-// Merge folds every point retained by o into f. o is not modified.
+// Merge folds every point retained by o into f, reusing o's stored
+// objectives. o is not modified.
 func (f *Fold[T]) Merge(o *Fold[T]) {
-	for _, p := range o.pts {
-		f.Add(p)
+	for i := range o.entries {
+		e := &o.entries[i]
+		f.AddKeys(e.x, e.y, &e.p)
 	}
 }
 
@@ -108,5 +126,12 @@ func (f *Fold[T]) Merge(o *Fold[T]) {
 // Run Frontier over it to apply the standard duplicate tie-breaking;
 // the result is identical to Frontier over every point ever Added.
 func (f *Fold[T]) Points() []T {
-	return append([]T(nil), f.pts...)
+	if len(f.entries) == 0 {
+		return nil
+	}
+	out := make([]T, len(f.entries))
+	for i := range f.entries {
+		out[i] = f.entries[i].p
+	}
+	return out
 }

@@ -13,8 +13,9 @@
 package pareto
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Compare orders two float64s with NaN ranking after every real value
@@ -59,34 +60,50 @@ func Dominates(ax, ay, bx, by float64) bool {
 // a NaN objective are filtered out: they rank worse than every real
 // point, so they are Pareto-optimal only in a degenerate all-NaN set,
 // where an empty frontier is the honest answer.
+//
+// Each objective is evaluated once per element; the ordering work runs
+// on the resulting keys (see FrontierKeys).
 func Frontier[T any](pts []T, x, y func(T) float64) []int {
-	idx := make([]int, 0, len(pts))
+	xs := make([]float64, len(pts))
+	ys := make([]float64, len(pts))
 	for i := range pts {
-		if math.IsNaN(x(pts[i])) || math.IsNaN(y(pts[i])) {
+		xs[i], ys[i] = x(pts[i]), y(pts[i])
+	}
+	return FrontierKeys(xs, ys)
+}
+
+// FrontierKeys is Frontier over precomputed objective keys: element i
+// has objectives (xs[i], ys[i]), and the result is the same index list
+// Frontier returns for those values. xs and ys must have equal length;
+// neither is modified.
+func FrontierKeys(xs, ys []float64) []int {
+	idx := make([]int, 0, len(xs))
+	for i := range xs {
+		if math.IsNaN(xs[i]) || math.IsNaN(ys[i]) {
 			continue
 		}
 		idx = append(idx, i)
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		xa, xb := x(pts[idx[a]]), x(pts[idx[b]])
-		//lint:ignore floatcmp sort comparators need an exact total order; fuzzy ties break transitivity
-		if xa != xb {
-			return xa < xb
+	// (x asc, y asc, index asc): the index tie-break makes the order
+	// total, so the unstable sort keeps the first-seen duplicate first,
+	// exactly as a stable (x, y) sort would.
+	slices.SortFunc(idx, func(a, b int) int {
+		if c := cmp.Compare(xs[a], xs[b]); c != 0 {
+			return c
 		}
-		return y(pts[idx[a]]) < y(pts[idx[b]])
+		if c := cmp.Compare(ys[a], ys[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
 	})
 	var out []int
-	bestY := 0.0
-	first := true
 	for _, i := range idx {
 		// In (x asc, y asc) order a point extends the frontier exactly
 		// when it strictly improves y; everything else — including exact
 		// duplicates of the previous frontier point — is dominated or
 		// tied and skipped.
-		if yi := y(pts[i]); first || yi < bestY {
+		if len(out) == 0 || ys[i] < ys[out[len(out)-1]] {
 			out = append(out, i)
-			bestY = yi
-			first = false
 		}
 	}
 	return out

@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -89,6 +90,7 @@ type Server struct {
 	mu       sync.Mutex
 	jobs     map[string]*Job
 	order    []string // creation order, for the list endpoint
+	finished []string // terminal jobs in the order they finished (see retire)
 	queue    chan *Job
 	draining atomic.Bool
 	seq      atomic.Int64
@@ -170,6 +172,9 @@ func (s *Server) runJob(job *Job) {
 	ctx = obs.WithSpan(ctx, job.span)
 	if !job.claim(cancel) {
 		// Canceled while queued; requestCancel already finalized it.
+		s.mu.Lock()
+		s.retire(job)
+		s.mu.Unlock()
 		s.rec.Counter("asiccloud_jobs_total", "state", string(StateCanceled)).Inc()
 		return
 	}
@@ -183,6 +188,9 @@ func (s *Server) runJob(job *Job) {
 
 	finish := func(result []byte, err error) {
 		job.finish(result, err)
+		s.mu.Lock()
+		s.retire(job)
+		s.mu.Unlock()
 		state, _, errMsg := job.snapshot()
 		s.rec.Counter("asiccloud_jobs_total", "state", string(state)).Inc()
 		attrs := []slog.Attr{
@@ -277,6 +285,7 @@ func (s *Server) submit(ctx context.Context, req *Request) (*Job, int, error) {
 		job.completeFromCache(data)
 		s.mu.Lock()
 		s.register(job)
+		s.retire(job)
 		s.mu.Unlock()
 		s.log.LogAttrs(ctx, slog.LevelInfo, "sweep served from cache",
 			slog.String("job_id", job.id),
@@ -313,10 +322,30 @@ func (s *Server) submit(ctx context.Context, req *Request) (*Job, int, error) {
 	return job, http.StatusAccepted, nil
 }
 
+// maxTerminalJobs bounds how many finished (done, failed or canceled)
+// jobs the registry retains — the same bound the recorder puts on
+// retained traces. Without it every finished job would keep its result
+// bytes for the life of the daemon.
+const maxTerminalJobs = 256
+
 // register files a job in the registry; callers hold s.mu.
 func (s *Server) register(job *Job) {
 	s.jobs[job.id] = job
 	s.order = append(s.order, job.id)
+}
+
+// retire records that a registered job reached a terminal state and
+// evicts the jobs that finished longest ago beyond maxTerminalJobs, so
+// their ids answer 404. Only retired jobs are evicted: a queued or
+// running job never is. Callers hold s.mu.
+func (s *Server) retire(job *Job) {
+	s.finished = append(s.finished, job.id)
+	for len(s.finished) > maxTerminalJobs {
+		id := s.finished[0]
+		s.finished = s.finished[1:]
+		delete(s.jobs, id)
+		s.order = slices.DeleteFunc(s.order, func(o string) bool { return o == id })
+	}
 }
 
 // lookup returns a registered job.

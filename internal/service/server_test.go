@@ -424,3 +424,73 @@ func TestConcurrentSubmissionsShareTheCache(t *testing.T) {
 		t.Fatalf("misses = %d, want at least 1", misses)
 	}
 }
+
+// TestRegistryRetainsRecentTerminalJobs submits more than
+// maxTerminalJobs jobs and checks the registry bound: the jobs that
+// finished longest ago are evicted (their ids answer 404), a running
+// job is never evicted however old, and once it finishes it is the
+// newest terminal job and stays addressable.
+func TestRegistryRetainsRecentTerminalJobs(t *testing.T) {
+	release := make(chan struct{})
+	_, ts := newTestService(t, Config{Workers: 2},
+		func(ctx context.Context, sweep core.Sweep, _ tco.Model) (core.Result, error) {
+			if len(sweep.ChipsPerLane) == 1 { // the slow job
+				select {
+				case <-release:
+				case <-ctx.Done():
+					return core.Result{}, ctx.Err()
+				}
+			}
+			return core.Result{}, nil
+		})
+	slow, code := postSweep(t, ts, `{"app":"bitcoin","sweep":{"chips_per_lane":[1]}}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("slow POST = %d", code)
+	}
+	first, code := postSweep(t, ts, tinySweep)
+	if code != http.StatusAccepted {
+		t.Fatalf("first POST = %d", code)
+	}
+	await(t, ts, first.ID)
+	var last StatusJSON
+	for i := 0; i < maxTerminalJobs; i++ {
+		if last, code = postSweep(t, ts, tinySweep); code != http.StatusOK {
+			t.Fatalf("cache-hit POST %d = %d", i, code)
+		}
+	}
+	listLen := func() int {
+		t.Helper()
+		_, body := get(t, ts, "/v1/sweeps")
+		var list struct {
+			Jobs []StatusJSON `json:"jobs"`
+		}
+		if err := json.Unmarshal(body, &list); err != nil {
+			t.Fatal(err)
+		}
+		return len(list.Jobs)
+	}
+	if n := listLen(); n != maxTerminalJobs+1 {
+		t.Fatalf("registry lists %d jobs, want %d terminal + 1 running", n, maxTerminalJobs)
+	}
+	for _, path := range []string{"", "/result", "/trace", "/events"} {
+		if code, body := get(t, ts, "/v1/sweeps/"+first.ID+path); code != http.StatusNotFound {
+			t.Errorf("evicted job %s = %d %s, want 404", path, code, body)
+		}
+	}
+	if code, _ := get(t, ts, "/v1/sweeps/"+slow.ID); code != http.StatusOK {
+		t.Fatalf("running job = %d, want it retained", code)
+	}
+	close(release)
+	if fin := await(t, ts, slow.ID); fin.State != StateDone {
+		t.Fatalf("slow job = %s (%s)", fin.State, fin.Error)
+	}
+	if code, _ := get(t, ts, "/v1/sweeps/"+slow.ID+"/result"); code != http.StatusOK {
+		t.Fatalf("newly finished job result = %d, want 200", code)
+	}
+	if code, _ := get(t, ts, "/v1/sweeps/"+last.ID); code != http.StatusOK {
+		t.Fatalf("most recent cache hit = %d, want 200", code)
+	}
+	if n := listLen(); n != maxTerminalJobs {
+		t.Fatalf("registry lists %d jobs after the last finish, want %d", n, maxTerminalJobs)
+	}
+}
