@@ -7,7 +7,8 @@
 # it, and diffs the daemon's answer against the CLI's; the distributed
 # smoke test byte-diffs a 3-worker coordinator sweep against the
 # single-process run and kills a worker mid-sweep to prove lease
-# requeue recovers its chunks.
+# requeue recovers its chunks. A short fuzz pass feeds arbitrary
+# bytes through the coordinator's chunk-result decode and merge.
 .PHONY: check
 check: build
 	$(MAKE) fmt-check
@@ -16,6 +17,7 @@ check: build
 	$(MAKE) lint-json
 	go test ./...
 	go test -race ./internal/core ./internal/cloud ./internal/service
+	go test -run '^$$' -fuzz FuzzChunkResultMerge -fuzztime 10s ./internal/core
 	go run ./cmd/benchreport -trajectory
 	./scripts/smoke_service.sh
 	./scripts/smoke_distributed.sh

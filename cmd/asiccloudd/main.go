@@ -13,7 +13,8 @@
 //	asiccloudd -worker -join HOST:PORT
 //
 // -once runs the sweep in-process. -coordinate partitions it into
-// chunks and serves them over the cloud pool protocol to any number of
+// chunks (by default at most 16 per sweep; -chunk sets geometries per
+// chunk) and serves them over the cloud pool protocol to any number of
 // -worker processes, merging their partial frontiers into the same
 // bytes -once produces. Workers exit 0 when the coordinator drains
 // them cleanly and non-zero on an unexpected disconnect.
@@ -65,7 +66,8 @@ func run(argv []string) error {
 	once := fs.Bool("once", false, "run one sweep in-process (the single-process baseline for -coordinate)")
 	requestFile := fs.String("request", "", `request JSON file for -coordinate / -once ("-" reads stdin)`)
 	poolAddr := fs.String("pool-addr", "127.0.0.1:0", "pool listen address (with -coordinate)")
-	chunkSize := fs.Int("chunk", 0, "geometries per distributed chunk (0 picks the default)")
+	chunkSize := fs.Int("chunk", 0, fmt.Sprintf(
+		"geometries per distributed chunk (0 cuts the sweep into at most %d chunks)", core.MaxFleetChunks))
 	lease := fs.Duration("lease", 10*time.Second, "chunk lease before requeue to the fleet (0 disables; with -coordinate)")
 	outFile := fs.String("o", "", "write the result JSON here instead of stdout (with -coordinate / -once)")
 	if err := fs.Parse(argv); err != nil {

@@ -42,6 +42,50 @@ type message struct {
 	Result *Result `json:"result,omitempty"`
 }
 
+// MaxFrameBytes caps one wire message. The largest legitimate frame is
+// a distributed sweep's chunk result: about 0.2 MB for a whole default
+// bitcoin, litecoin or xcode sweep in one chunk. A peer that sends more
+// is dropped before it can grow the reader's buffer without bound.
+const MaxFrameBytes = 64 << 20
+
+// ErrFrameTooLarge reports a wire message longer than the reader's cap.
+var ErrFrameTooLarge = errors.New("cloud: wire frame exceeds the size cap")
+
+// frameDecoder decodes one message at a time from a connection. Each
+// decode may pull at most max bytes off the connection and fails with
+// ErrFrameTooLarge after that, so the decoder's buffer stays within
+// about two frames however long a message the peer sends.
+type frameDecoder struct {
+	r         io.Reader
+	dec       *json.Decoder
+	max, left int64
+}
+
+func newFrameDecoder(conn io.Reader, max int64) *frameDecoder {
+	d := &frameDecoder{r: bufio.NewReader(conn), max: max}
+	d.dec = json.NewDecoder(d)
+	return d
+}
+
+// Read is the decoder's view of the connection, counting down the
+// current decode's allowance.
+func (d *frameDecoder) Read(p []byte) (int, error) {
+	if d.left <= 0 {
+		return 0, ErrFrameTooLarge
+	}
+	if int64(len(p)) > d.left {
+		p = p[:d.left]
+	}
+	n, err := d.r.Read(p)
+	d.left -= int64(n)
+	return n, err
+}
+
+func (d *frameDecoder) decode(m *message) error {
+	d.left = d.max
+	return d.dec.Decode(m)
+}
+
 // Stats summarizes pool progress.
 type Stats struct {
 	JobsQueued int
@@ -104,18 +148,22 @@ type Pool struct {
 	log *slog.Logger
 	// now is injectable for deterministic tests.
 	now func() time.Time
+	// maxFrame caps each message a worker sends (MaxFrameBytes; tests
+	// lower it).
+	maxFrame int64
 }
 
 // NewPool creates a pool preloaded with jobs.
 func NewPool(jobs []Job) *Pool {
 	p := &Pool{
-		pending: append([]Job(nil), jobs...),
-		leases:  make(map[uint64]lease),
-		done:    make(map[uint64]bool),
-		issued:  make(map[uint64]time.Time),
-		results: make(chan Result, len(jobs)+16),
-		log:     obs.NopLogger(),
-		now:     time.Now,
+		pending:  append([]Job(nil), jobs...),
+		leases:   make(map[uint64]lease),
+		done:     make(map[uint64]bool),
+		issued:   make(map[uint64]time.Time),
+		results:  make(chan Result, len(jobs)+16),
+		log:      obs.NopLogger(),
+		now:      time.Now,
+		maxFrame: MaxFrameBytes,
 	}
 	p.resCond = sync.NewCond(&p.mu)
 	p.stats.JobsQueued = len(jobs)
@@ -499,7 +547,7 @@ func (p *Pool) serveConn(ctx context.Context, conn net.Conn) {
 		conn.Close()
 	})
 	defer stop()
-	dec := json.NewDecoder(bufio.NewReader(conn))
+	dec := newFrameDecoder(conn, p.maxFrame)
 	enc := json.NewEncoder(conn)
 	worker := "anonymous"
 	// held is the job this connection was handed and has not answered;
@@ -519,8 +567,15 @@ func (p *Pool) serveConn(ctx context.Context, conn net.Conn) {
 			return
 		}
 		var m message
-		if err := dec.Decode(&m); err != nil {
-			return // disconnect, cancellation, or garbage: drop the connection
+		if err := dec.decode(&m); err != nil {
+			// Disconnect, cancellation, garbage or an oversized frame:
+			// drop the connection (a held job is released below).
+			if errors.Is(err, ErrFrameTooLarge) {
+				log.LogAttrs(ctx, slog.LevelWarn, "dropping worker: frame exceeds the size cap",
+					slog.String("worker", worker),
+					slog.Int64("max_bytes", p.maxFrame))
+			}
+			return
 		}
 		switch m.Type {
 		case "hello":
@@ -619,13 +674,13 @@ func RunWorker(ctx context.Context, addr, id string, h Handler) (int, error) {
 		conn.Close()
 	}()
 
-	dec := json.NewDecoder(bufio.NewReader(conn))
+	dec := newFrameDecoder(conn, MaxFrameBytes)
 	enc := json.NewEncoder(conn)
 	if err := enc.Encode(message{Type: "hello", Worker: id}); err != nil {
 		return 0, err
 	}
 	var m message
-	if err := dec.Decode(&m); err != nil || m.Type != "ack" {
+	if err := dec.decode(&m); err != nil || m.Type != "ack" {
 		return 0, fmt.Errorf("cloud: bad handshake")
 	}
 
@@ -634,7 +689,7 @@ func RunWorker(ctx context.Context, addr, id string, h Handler) (int, error) {
 		if err := enc.Encode(message{Type: "getwork"}); err != nil {
 			return completed, ctxErrOr(ctx, err)
 		}
-		if err := dec.Decode(&m); err != nil {
+		if err := dec.decode(&m); err != nil {
 			return completed, ctxErrOr(ctx, err)
 		}
 		switch m.Type {
@@ -653,7 +708,7 @@ func RunWorker(ctx context.Context, addr, id string, h Handler) (int, error) {
 			if err := enc.Encode(message{Type: "result", Result: &r}); err != nil {
 				return completed, ctxErrOr(ctx, err)
 			}
-			if err := dec.Decode(&m); err != nil {
+			if err := dec.decode(&m); err != nil {
 				return completed, ctxErrOr(ctx, err)
 			}
 			if m.Type != "ack" {

@@ -207,3 +207,63 @@ func TestUnexpectedDisconnect(t *testing.T) {
 		t.Fatalf("completed = %d, want 0", n)
 	}
 }
+
+// TestOversizedFrameDropsWorker: a raw-protocol worker whose result
+// frame exceeds the pool's cap is disconnected instead of acked, and
+// the pool never buffers the frame; its leased job is requeued and a
+// healthy worker completes every job.
+func TestOversizedFrameDropsWorker(t *testing.T) {
+	p := NewPool(makeJobs(3))
+	p.maxFrame = 4 << 10
+	p.SetLeaseDuration(50 * time.Millisecond)
+	addr, stop := startPool(t, p)
+	defer stop()
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	enc := json.NewEncoder(conn)
+	dec := json.NewDecoder(conn)
+	if err := enc.Encode(message{Type: "hello", Worker: "bloated"}); err != nil {
+		t.Fatal(err)
+	}
+	var m message
+	if err := dec.Decode(&m); err != nil || m.Type != "ack" {
+		t.Fatal("handshake failed")
+	}
+	if err := enc.Encode(message{Type: "getwork"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := dec.Decode(&m); err != nil || m.Type != "job" {
+		t.Fatal("no job issued")
+	}
+	big := Result{JobID: m.Job.ID, Output: make([]byte, 64<<10)}
+	// The pool may drop the connection mid-write; the read below is
+	// the assertion.
+	_ = enc.Encode(message{Type: "result", Result: &big})
+	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	err = dec.Decode(&m)
+	var ne net.Error
+	switch {
+	case err == nil:
+		t.Fatalf("pool answered an oversized frame with %q", m.Type)
+	case errors.As(err, &ne) && ne.Timeout():
+		t.Fatal("pool kept the connection open after an oversized frame")
+	}
+
+	n, err := RunWorker(context.Background(), addr, "healthy", echoHandler)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 3 {
+		t.Fatalf("healthy worker completed %d jobs, want all 3", n)
+	}
+	s := p.Stats()
+	if s.JobsDone != 3 || s.JobsRequeued != 1 || s.WorkerResults["bloated"] != 0 {
+		t.Fatalf("stats = %+v, want 3 done, 1 requeued, none from the bloated worker", s)
+	}
+}

@@ -108,11 +108,22 @@ func TestManyWorkersShareLoad(t *testing.T) {
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	total := 0
+	// Each worker's first job waits until all four workers hold one.
+	// Without this a worker that connects first can drain every echo
+	// job before the others dial in; with it, a pool that did not serve
+	// workers concurrently would deadlock the test.
+	var joined sync.WaitGroup
+	joined.Add(4)
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			n, err := RunWorker(context.Background(), addr, fmt.Sprintf("w%d", id), echoHandler)
+			var once sync.Once
+			h := func(j Job) ([]byte, error) {
+				once.Do(func() { joined.Done(); joined.Wait() })
+				return echoHandler(j)
+			}
+			n, err := RunWorker(context.Background(), addr, fmt.Sprintf("w%d", id), h)
 			if err != nil {
 				t.Errorf("worker %d: %v", id, err)
 			}

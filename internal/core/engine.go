@@ -22,9 +22,11 @@ import (
 	"asiccloud/internal/thermal"
 )
 
-// DefaultChunkSize is the number of geometries a worker claims at a
-// time. Small enough to load-balance a dozen workers over a hundred
-// geometries, large enough that the claim counter is not contended.
+// DefaultChunkSize is the number of geometries one of ExploreContext's
+// local worker goroutines claims at a time: small enough that the
+// GOMAXPROCS workers of one process finish together, large enough that
+// the claim counter is not contended. Distributed sweeps size their
+// chunks to the fleet instead (FleetChunkSize).
 const DefaultChunkSize = 4
 
 // Engine runs design-space explorations as a reusable service instead
@@ -483,7 +485,7 @@ func (e *Engine) ExploreContext(ctx context.Context, sweep Sweep, model tco.Mode
 					if sweep.Progress != nil {
 						sweep.Progress(int(done), len(work))
 					}
-					scratch, column = e.evalCell(g, sweep.Base, grid, model,
+					scratch, column = e.evalCell(g, grid, model,
 						scratch, column, &localSum, &ctr)
 					busy += time.Since(geomFrom)
 				}

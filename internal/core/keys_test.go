@@ -115,7 +115,8 @@ func TestSortedPointsTieBreaks(t *testing.T) {
 func TestResultMergerPermutationsByteIdentical(t *testing.T) {
 	sweep := smallSweep()
 	sweep.Stacked = true
-	want, err := json.Marshal(exploreDiscard(t, sweep))
+	res := exploreDiscard(t, sweep)
+	want, err := json.Marshal(res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,12 +127,16 @@ func TestResultMergerPermutationsByteIdentical(t *testing.T) {
 		for i, j := range rng.Perm(len(chunks)) {
 			perm[i] = chunks[j]
 		}
-		got, err := json.Marshal(mergeChunks(t, sweep, 1, perm))
+		merged := mergeChunks(t, sweep, 1, perm)
+		got, err := json.Marshal(merged)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if string(got) != string(want) {
 			t.Fatalf("trial %d: merged result differs from the streaming sweep", trial)
 		}
+		// Configs are not serialized; compare them, and every other
+		// field, structurally too.
+		requireResultsIdentical(t, res, merged)
 	}
 }

@@ -175,7 +175,11 @@ func (b BOM) Total() float64 {
 
 // Evaluation is the result of the Figure 4 flow for one design point.
 type Evaluation struct {
-	Config Config
+	// Config is the evaluated configuration. It is not serialized: the
+	// only wire that carries Evaluations is the distributed chunk result
+	// (core.ChunkResult), which rebuilds each Config from the sweep
+	// plan instead of shipping the sweep's constant base per point.
+	Config Config `json:"-"`
 
 	DieArea     float64 // mm² per chip including controllers and extras
 	Chips       int     // total chips in the server

@@ -44,7 +44,8 @@ type chunkPayload struct {
 	// canonicalization disagrees must refuse the chunk.
 	RequestHash string `json:"request_hash"`
 	// ChunkSize and Chunk select one chunk of the deterministic
-	// partition; NumChunks rides along as a consistency check.
+	// partition. NumChunks is a consistency check: a worker whose own
+	// plan partitions the sweep differently refuses the chunk.
 	ChunkSize int `json:"chunk_size"`
 	Chunk     int `json:"chunk"`
 	NumChunks int `json:"num_chunks"`
@@ -52,9 +53,9 @@ type chunkPayload struct {
 
 // NewChunkHandler returns the cloud.Handler a distributed sweep worker
 // runs: decode the chunk payload, re-canonicalize the request and
-// verify the coordinator's hash, evaluate the chunk on eng (whose
-// thermal-plan cache warms up across chunks of the same sweep), and
-// return the serialized core.ChunkResult. The job's traceparent joins
+// verify the coordinator's hash and chunk count, evaluate the chunk on
+// eng (whose thermal-plan cache warms up across chunks of the same
+// sweep), and return the serialized core.ChunkResult. The job's traceparent joins
 // the worker's chunk span to the coordinator's trace.
 func NewChunkHandler(eng *core.Engine, rec *obs.Recorder, log *slog.Logger) cloud.Handler {
 	log = obs.OrNop(log)
@@ -76,6 +77,15 @@ func NewChunkHandler(eng *core.Engine, rec *obs.Recorder, log *slog.Logger) clou
 		if err != nil {
 			return nil, err
 		}
+		plan, err := core.PlanSweep(sweep, model, p.ChunkSize)
+		if err != nil {
+			return nil, err
+		}
+		if n := plan.NumChunks(); n != p.NumChunks {
+			return nil, fmt.Errorf(
+				"service: chunk count mismatch (coordinator %d, worker %d at %d geometries per chunk): refusing the chunk",
+				p.NumChunks, n, plan.ChunkSize())
+		}
 		ctx := context.Background()
 		if sc, ok := obs.ParseTraceparent(j.Traceparent); ok {
 			ctx = obs.WithSpanContext(ctx, sc)
@@ -83,7 +93,7 @@ func NewChunkHandler(eng *core.Engine, rec *obs.Recorder, log *slog.Logger) clou
 		ctx, span := rec.StartSpan(ctx, "chunk")
 		defer span.End()
 		from := time.Now()
-		cr, err := eng.EvaluateChunk(ctx, sweep, model, p.ChunkSize, p.Chunk)
+		cr, err := eng.EvaluatePlanChunk(ctx, plan, p.Chunk)
 		if err != nil {
 			return nil, err
 		}
@@ -108,8 +118,11 @@ const drainGrace = 5 * time.Second
 
 // CoordinatorOptions tunes a distributed sweep run.
 type CoordinatorOptions struct {
-	// ChunkSize is geometries per chunk (0 selects
-	// core.DefaultChunkSize).
+	// ChunkSize is geometries per chunk. 0 sizes chunks to the fleet
+	// protocol rather than to a local worker's claim unit:
+	// core.FleetChunkSize cuts the sweep into at most
+	// core.MaxFleetChunks chunks, so the per-chunk wire and merge cost
+	// is paid a bounded number of times per sweep.
 	ChunkSize int
 	// LeaseDuration bounds how long a worker may hold a chunk before
 	// it is requeued to the fleet (0 disables leasing — a crashed
@@ -141,6 +154,11 @@ func RunCoordinator(ctx context.Context, req *Request, ln net.Listener, rec *obs
 	plan, err := core.PlanSweep(sweep, model, opts.ChunkSize)
 	if err != nil {
 		return nil, err
+	}
+	if opts.ChunkSize <= 0 {
+		if plan, err = core.PlanSweep(sweep, model, core.FleetChunkSize(plan.Geometries())); err != nil {
+			return nil, err
+		}
 	}
 
 	ctx, root := rec.StartSpan(ctx, "coordinate")
@@ -202,7 +220,18 @@ drain:
 				return nil, fmt.Errorf("service: decode chunk %d result from worker %s: %w",
 					r.JobID-1, r.Worker, err)
 			}
+			// The result must answer the job it was returned for, under
+			// this plan's partition: a mis-addressed chunk would
+			// otherwise merge silently as the wrong part of the sweep.
+			if cr.Chunk != int(r.JobID-1) || cr.NumChunks != plan.NumChunks() {
+				return nil, fmt.Errorf(
+					"service: worker %s answered chunk %d of %d with chunk %d of %d",
+					r.Worker, r.JobID-1, plan.NumChunks(), cr.Chunk, cr.NumChunks)
+			}
 			merger.Add(cr)
+			if err := merger.Err(); err != nil {
+				return nil, fmt.Errorf("service: result from worker %s: %w", r.Worker, err)
+			}
 			log.LogAttrs(ctx, slog.LevelDebug, "chunk merged",
 				slog.Int("chunk", cr.Chunk),
 				slog.String("worker", r.Worker),

@@ -51,7 +51,8 @@ func startCoordinator(t *testing.T, ctx context.Context, req *Request, opts Coor
 
 // TestDistributedMatchesRunOnce is the tentpole acceptance check in
 // process form: a coordinator fanning chunks out to a three-worker
-// fleet renders byte-identical result JSON to the single-process run.
+// fleet renders byte-identical result JSON to the single-process run,
+// with an explicit chunk size and with the fleet-sized default.
 func TestDistributedMatchesRunOnce(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -61,27 +62,37 @@ func TestDistributedMatchesRunOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	addr, out, errc := startCoordinator(t, ctx, req, CoordinatorOptions{ChunkSize: 2})
-	// Three workers, each with its own engine — separate thermal-plan
-	// caches, as separate processes would have.
-	var wg sync.WaitGroup
-	for w := 0; w < 3; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			h := NewChunkHandler(core.NewEngine(nil), nil, nil)
-			if _, err := cloud.RunWorker(ctx, addr, "w", h); err != nil {
-				t.Errorf("worker %d: %v", id, err)
-			}
-		}(w)
-	}
-	wg.Wait()
-	got := <-out
-	if err := <-errc; err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(want, got) {
-		t.Errorf("distributed result differs from single-process run:\nonce: %s\ndist: %s", want, got)
+	for _, size := range []int{2, 0} {
+		addr, out, errc := startCoordinator(t, ctx, req, CoordinatorOptions{ChunkSize: size})
+		// Three workers, each with its own engine — separate
+		// thermal-plan caches, as separate processes would have. Each
+		// worker's first chunk waits until all three hold one, so no
+		// worker can drain the sweep before the others have dialed in.
+		var wg, joined sync.WaitGroup
+		joined.Add(3)
+		for w := 0; w < 3; w++ {
+			wg.Add(1)
+			go func(id int) {
+				defer wg.Done()
+				inner := NewChunkHandler(core.NewEngine(nil), nil, nil)
+				var once sync.Once
+				h := func(j cloud.Job) ([]byte, error) {
+					once.Do(func() { joined.Done(); joined.Wait() })
+					return inner(j)
+				}
+				if _, err := cloud.RunWorker(ctx, addr, "w", h); err != nil {
+					t.Errorf("chunk size %d, worker %d: %v", size, id, err)
+				}
+			}(w)
+		}
+		wg.Wait()
+		got := <-out
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(want, got) {
+			t.Errorf("chunk size %d: distributed result differs from single-process run:\nonce: %s\ndist: %s", size, want, got)
+		}
 	}
 }
 
@@ -182,6 +193,80 @@ func TestChunkHandlerRejectsGarbage(t *testing.T) {
 	}
 	if _, err := h(cloud.Job{ID: 1, Payload: payload}); err == nil {
 		t.Error("out-of-range chunk should fail")
+	}
+}
+
+// TestChunkHandlerRejectsChunkCountMismatch: a payload whose num_chunks
+// disagrees with the worker's own plan of the same request is refused,
+// not evaluated.
+func TestChunkHandlerRejectsChunkCountMismatch(t *testing.T) {
+	req := distRequest(t)
+	can, err := Canonicalize(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := json.Marshal(chunkPayload{
+		Request:     *req,
+		RequestHash: can.Hash(),
+		ChunkSize:   2,
+		Chunk:       0,
+		NumChunks:   4, // the plan has 3 chunks of 2 geometries
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewChunkHandler(core.NewEngine(nil), nil, nil)
+	_, err = h(cloud.Job{ID: 1, Payload: payload})
+	if err == nil || !strings.Contains(err.Error(), "chunk count mismatch") {
+		t.Errorf("want chunk count mismatch error, got %v", err)
+	}
+}
+
+// TestCoordinatorRejectsMisaddressedChunk: a result whose chunk index
+// is not its job's, or whose chunk count is not the plan's, fails the
+// run with an error naming the chunk and the worker instead of merging
+// as the wrong part of the sweep; so does one the merger finds
+// malformed.
+func TestCoordinatorRejectsMisaddressedChunk(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		alter func(*core.ChunkResult)
+		want  string
+	}{
+		{"chunk", func(cr *core.ChunkResult) { cr.Chunk = (cr.Chunk + 1) % cr.NumChunks }, "answered chunk"},
+		{"num_chunks", func(cr *core.ChunkResult) { cr.NumChunks++ }, "answered chunk"},
+		{"geometry", func(cr *core.ChunkResult) {
+			for i := range cr.Points {
+				cr.Points[i].Geom = -1
+			}
+		}, "malformed result for chunk"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			addr, out, errc := startCoordinator(t, ctx, distRequest(t), CoordinatorOptions{ChunkSize: 2})
+			inner := NewChunkHandler(core.NewEngine(nil), nil, nil)
+			liar := func(j cloud.Job) ([]byte, error) {
+				b, err := inner(j)
+				if err != nil {
+					return nil, err
+				}
+				var cr core.ChunkResult
+				if err := json.Unmarshal(b, &cr); err != nil {
+					return nil, err
+				}
+				tc.alter(&cr)
+				return json.Marshal(cr)
+			}
+			// The coordinator aborts and tears the pool down, so the
+			// worker's exit is either a drain or a disconnect.
+			_, _ = cloud.RunWorker(ctx, addr, "liar", liar)
+			<-out
+			err := <-errc
+			if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "liar") {
+				t.Errorf("want an error naming the chunk and worker liar, got %v", err)
+			}
+		})
 	}
 }
 

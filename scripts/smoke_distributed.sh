@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Smoke test for distributed sweep execution: build asiccloudd and the
-# CLI, run one sweep three ways — in-process (-once), distributed over
-# a 3-worker pool (-coordinate / -worker), and distributed again with a
-# worker killed mid-sweep — and check the properties the coordinator
+# CLI, run one sweep four ways — in-process (-once), distributed over
+# a 3-worker pool (-coordinate / -worker) with an explicit and with the
+# default chunk size, and distributed again with a worker killed
+# mid-sweep — and check the properties the coordinator
 # guarantees: the distributed result is byte-identical to the
 # single-process run, its TCO-optimal matches the CLI verbatim, prune
 # accounting stays exact across the merge, workers exit cleanly on
@@ -78,6 +79,31 @@ cmp -s "$workdir/once.json" "$workdir/dist.json" || {
     fail "distributed result is not byte-identical to the single-process run"
 }
 echo "smoke_distributed: 3-worker result byte-identical to -once"
+
+# Property 1b: the same with the coordinator's default chunking (no
+# -chunk: at most 16 fleet-sized chunks per sweep).
+"$workdir/asiccloudd" -coordinate -request "$workdir/req.json" \
+    -o "$workdir/dist_default.json" -log-level warn \
+    >"$workdir/coordd.out" 2>"$workdir/coordd.err" &
+coord_pid=$!
+pids+=("$coord_pid")
+addr=$(wait_for_pool "$workdir/coordd.out") || { cat "$workdir/coordd.err" >&2; fail "default-chunk coordinator never announced its pool address"; }
+worker_pids=()
+for w in 1 2 3; do
+    "$workdir/asiccloudd" -worker -join "$addr" -id "d$w" -log-level warn \
+        >"$workdir/d$w.out" 2>"$workdir/d$w.err" &
+    worker_pids+=($!)
+    pids+=($!)
+done
+wait "$coord_pid" || { cat "$workdir/coordd.err" >&2; fail "default-chunk coordinator exited non-zero"; }
+for i in 0 1 2; do
+    wait "${worker_pids[$i]}" || { cat "$workdir/d$((i + 1)).err" >&2; fail "worker d$((i + 1)) exited non-zero"; }
+done
+cmp -s "$workdir/once.json" "$workdir/dist_default.json" || {
+    diff <(jq -S . "$workdir/once.json") <(jq -S . "$workdir/dist_default.json") >&2 || true
+    fail "default-chunk distributed result is not byte-identical to the single-process run"
+}
+echo "smoke_distributed: 3-worker result with default chunking byte-identical to -once"
 
 # Property 2: the distributed TCO- and carbon-optimal answers match the
 # CLI verbatim.
