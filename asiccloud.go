@@ -218,8 +218,8 @@ func ProvisionForLatency(jobs []workload.Job, speedup, targetP99 float64, maxSer
 	return workload.ProvisionForLatency(jobs, speedup, targetP99, maxServers)
 }
 
-// FindTCOOptimal is the fast (coarse-then-refine) TCO-optimal search;
-// it agrees with Explore's optimum but skips the full Pareto sweep.
+// FindTCOOptimal returns Explore's TCO-optimal point from a sweep that
+// retains no points, for callers that need only the optimum.
 func FindTCOOptimal(sweep Sweep, model TCOModel) (DesignPoint, error) {
 	return core.FindTCOOptimal(sweep, model)
 }

@@ -154,6 +154,6 @@ func TestFacadeFindTCOOptimal(t *testing.T) {
 		t.Fatal(err)
 	}
 	if p.TCOPerOp() <= 0 {
-		t.Error("fast search returned a degenerate point")
+		t.Error("FindTCOOptimal returned a degenerate point")
 	}
 }

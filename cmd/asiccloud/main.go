@@ -32,6 +32,7 @@ import (
 	"asiccloud/internal/datacenter"
 	"asiccloud/internal/figures"
 	"asiccloud/internal/nre"
+	"asiccloud/internal/obs"
 	"asiccloud/internal/server"
 	"asiccloud/internal/studies"
 	"asiccloud/internal/tco"
@@ -110,6 +111,14 @@ subcommands:
   compare     all four ASIC Clouds' TCO-optimal servers side by side`)
 }
 
+// newEngine returns an engine that retains no points: every subcommand
+// reads only the frontiers, the optima and the prune accounting.
+func newEngine(rec *obs.Recorder) *core.Engine {
+	eng := core.NewEngine(rec)
+	eng.DiscardPoints = true
+	return eng
+}
+
 // exploreApp runs the standard sweep for a named application on the
 // given engine, so commands that explore more than once (compare) reuse
 // one thermal-plan cache.
@@ -163,11 +172,11 @@ func cmdDesign(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	res, _, err := exploreApp(ctx, core.NewEngine(rec), *app)
+	res, _, err := exploreApp(ctx, newEngine(rec), *app)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("explored %d feasible designs, %d Pareto-optimal\n\n", len(res.Points), len(res.Frontier))
+	fmt.Printf("explored %d feasible designs, %d Pareto-optimal\n\n", res.Pruned.Feasible, len(res.Frontier))
 	fmt.Println("energy-optimal:", res.EnergyOptimal.Describe())
 	fmt.Println("TCO-optimal:   ", res.TCOOptimal.Describe())
 	fmt.Println("cost-optimal:  ", res.CostOptimal.Describe())
@@ -191,7 +200,7 @@ func cmdPareto(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	res, unit, err := exploreApp(ctx, core.NewEngine(rec), *app)
+	res, unit, err := exploreApp(ctx, newEngine(rec), *app)
 	if err != nil {
 		return err
 	}
@@ -245,7 +254,7 @@ func cmdCustom(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	res, err := core.NewEngine(rec).ExploreContext(ctx, core.Sweep{Base: server.Default(spec)}, tco.Default())
+	res, err := newEngine(rec).ExploreContext(ctx, core.Sweep{Base: server.Default(spec)}, tco.Default())
 	if err != nil {
 		return err
 	}
@@ -313,7 +322,7 @@ func cmdDeploy(ctx context.Context, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	res, unit, err := exploreApp(ctx, core.NewEngine(nil), *app)
+	res, unit, err := exploreApp(ctx, newEngine(nil), *app)
 	if err != nil {
 		return err
 	}
@@ -554,7 +563,7 @@ func cmdEconomics(ctx context.Context, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	res, _, err := exploreApp(ctx, core.NewEngine(nil), "bitcoin")
+	res, _, err := exploreApp(ctx, newEngine(nil), "bitcoin")
 	if err != nil {
 		return err
 	}
@@ -598,7 +607,7 @@ func cmdCompare(ctx context.Context) error {
 	}
 	// One engine for all three clouds: their sweeps overlap heavily in
 	// geometry, so later apps hit the thermal-plan cache.
-	eng := core.NewEngine(nil)
+	eng := newEngine(nil)
 	for _, app := range []string{"bitcoin", "litecoin", "xcode"} {
 		res, unit, err := exploreApp(ctx, eng, app)
 		if err != nil {

@@ -8,27 +8,13 @@ import (
 	"asiccloud/internal/tco"
 )
 
-// TestFindCarbonOptimalMatchesBruteForce checks the fast path against
-// Explore's CarbonOptimal under the default carbon model. Both paths
-// build identical Points, so the winner must match exactly, not just
-// within tolerance.
 func TestFindCarbonOptimalMatchesBruteForce(t *testing.T) {
-	sweep := smallSweep()
-	full, err := Explore(sweep, tco.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast, err := FindCarbonOptimal(sweep, tco.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fast.CO2PerOp() > full.CarbonOptimal.CO2PerOp()*1.005 {
-		t.Errorf("fast CO2e %v vs brute force %v", fast.CO2PerOp(), full.CarbonOptimal.CO2PerOp())
-	}
-	if math.Abs(fast.Config.Voltage-full.CarbonOptimal.Config.Voltage) > 1e-12 {
-		t.Errorf("fast voltage %.3f != brute-force voltage %.3f",
-			fast.Config.Voltage, full.CarbonOptimal.Config.Voltage)
-	}
+	requireCarbonOptimalMatchesExplore(t, smallSweep())
+}
+
+func TestFindCarbonOptimalSparseVoltages(t *testing.T) {
+	sweep := sparseSweep()
+	requireVoltageInSet(t, requireCarbonOptimalMatchesExplore(t, sweep), sweep)
 }
 
 // TestFindCarbonOptimalCustomModel exercises a non-default carbon model
@@ -61,61 +47,20 @@ func TestFindCarbonOptimalCustomModel(t *testing.T) {
 		t.Errorf("zero-carbon grid optimum %.2f V below dirty-grid optimum %.2f V; embodied pressure should raise it",
 			cleanOpt.Config.Voltage, dirtyOpt.Config.Voltage)
 	}
-	// Each agrees with its own brute force.
-	for _, tc := range []struct {
-		name  string
-		sweep Sweep
-		fast  Point
-	}{{"dirty", dirty, dirtyOpt}, {"clean", clean, cleanOpt}} {
-		full, err := Explore(tc.sweep, tco.Default())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tc.fast.CO2PerOp() > full.CarbonOptimal.CO2PerOp()*1.005 {
-			t.Errorf("%s: fast CO2e %v vs brute force %v",
-				tc.name, tc.fast.CO2PerOp(), full.CarbonOptimal.CO2PerOp())
-		}
-	}
-}
-
-// TestFindCarbonOptimalSparseVoltages mirrors the TCO fast path's
-// sparse-set contract for the carbon objective.
-func TestFindCarbonOptimalSparseVoltages(t *testing.T) {
-	sweep := smallSweep()
-	sweep.Voltages = []float64{0.62, 0.40, 0.42, 0.44, 0.46, 0.48, 0.60, 0.64, 0.44}
-	fast, err := FindCarbonOptimal(sweep, tco.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
-	inSet := false
-	for _, v := range sweep.Voltages {
-		if math.Abs(fast.Config.Voltage-v) < 1e-12 {
-			inSet = true
-		}
-	}
-	if !inSet {
-		t.Fatalf("fast path chose %.3f V, not in the supplied set %v",
-			fast.Config.Voltage, sweep.Voltages)
-	}
-	brute, err := Explore(sweep, tco.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fast.CO2PerOp() > brute.CarbonOptimal.CO2PerOp()*1.005 {
-		t.Fatalf("fast CO2e %.4f vs brute %.4f: disagreement beyond tolerance",
-			fast.CO2PerOp(), brute.CarbonOptimal.CO2PerOp())
-	}
 }
 
 // TestFindCarbonOptimalRejectsInvalidModel: a sweep carrying an invalid
-// carbon model must fail loudly on both paths, not sweep with garbage.
+// carbon model must fail loudly on every path, not sweep with garbage.
 func TestFindCarbonOptimalRejectsInvalidModel(t *testing.T) {
 	sweep := smallSweep()
 	bad := carbon.Default()
 	bad.GridGCO2ePerKWh = math.NaN()
 	sweep.Carbon = &bad
 	if _, err := FindCarbonOptimal(sweep, tco.Default()); err == nil {
-		t.Error("NaN grid intensity should fail the fast path")
+		t.Error("NaN grid intensity should fail FindCarbonOptimal")
+	}
+	if _, err := FindTCOOptimal(sweep, tco.Default()); err == nil {
+		t.Error("NaN grid intensity should fail FindTCOOptimal")
 	}
 	if _, err := Explore(sweep, tco.Default()); err == nil {
 		t.Error("NaN grid intensity should fail Explore")

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync/atomic"
 
 	"asiccloud/internal/carbon"
 	"asiccloud/internal/dram"
@@ -22,9 +23,10 @@ import (
 //   - evalCell evaluates one geometry cell (DRAM subsystem, memoized
 //     thermal plan, voltage column) identically wherever it runs, on
 //     the configuration cellConfig builds;
-//   - the chunk partition work[c*size : (c+1)*size] is the same one
-//     ExploreContext's workers claim, so a remote worker evaluating
-//     chunk c produces exactly the points a local worker would have.
+//   - chunkWorker.eval walks one chunk work[c*size : (c+1)*size] of a
+//     SweepPlan; ExploreContext's local workers and EvaluatePlanChunk
+//     both run it, so a remote worker evaluating chunk c produces
+//     exactly the points a local worker would have.
 //
 // ChunkResult carries a chunk's fold survivors, optimum candidates and
 // prune counts over the wire, each distinct survivor once and without
@@ -60,8 +62,7 @@ type sweepGrid struct {
 
 // buildGrid resolves the sweep's grids and geometry work list. The
 // returned error covers voltage-grid problems only; an empty work list
-// is the caller's check (ExploreContext and PlanSweep both report it
-// with the grid summary attached).
+// is planSweep's check.
 func buildGrid(sweep Sweep) (*sweepGrid, error) {
 	g := &sweepGrid{base: sweep.Base, carbon: carbon.Default()}
 	if sweep.Carbon != nil {
@@ -146,14 +147,6 @@ func buildGrid(sweep Sweep) (*sweepGrid, error) {
 	return g, nil
 }
 
-// emptySpaceError is the shared "nothing to sweep" report: the summary
-// rides along so callers see the per-reason counts, not a bare message.
-func emptySpaceError(summary PruneSummary) error {
-	return fmt.Errorf(
-		"core: empty design space: every silicon/chips combination quantizes below one RCA per chip (%s)",
-		summary)
-}
-
 // cellConfig is the server configuration of one geometry cell: the
 // sweep's base with the cell's RCAs per chip, chips per lane and DRAM
 // subsystem set. evalCell evaluates it and ResultMerger rebuilds each
@@ -215,12 +208,25 @@ type SweepPlan struct {
 	grid      *sweepGrid
 	model     tco.Model
 	chunkSize int
+	// progress is the sweep's Progress callback, or nil.
+	progress func(done, total int)
 }
 
 // PlanSweep validates the sweep and resolves its chunk partition.
 // chunkSize <= 0 selects DefaultChunkSize. The "empty design space"
 // failure mode is reported here, exactly as ExploreContext reports it.
 func PlanSweep(sweep Sweep, model tco.Model, chunkSize int) (*SweepPlan, error) {
+	plan, err := planSweep(sweep, model, chunkSize)
+	if err != nil {
+		return nil, err
+	}
+	return plan, nil
+}
+
+// planSweep is PlanSweep, except that on an empty design space it
+// returns the plan along with the error, so ExploreContext can report
+// the grid's prune accounting.
+func planSweep(sweep Sweep, model tco.Model, chunkSize int) (*SweepPlan, error) {
 	if err := model.Validate(); err != nil {
 		return nil, err
 	}
@@ -231,13 +237,15 @@ func PlanSweep(sweep Sweep, model tco.Model, chunkSize int) (*SweepPlan, error) 
 	if err != nil {
 		return nil, err
 	}
-	if len(grid.work) == 0 {
-		return nil, emptySpaceError(grid.summary)
-	}
 	if chunkSize <= 0 {
 		chunkSize = DefaultChunkSize
 	}
-	return &SweepPlan{grid: grid, model: model, chunkSize: chunkSize}, nil
+	plan := &SweepPlan{grid: grid, model: model, chunkSize: chunkSize, progress: sweep.Progress}
+	if len(grid.work) == 0 {
+		return plan, fmt.Errorf("core: empty design space: every silicon/chips combination "+
+			"quantizes below one RCA per chip (%s)", grid.summary)
+	}
+	return plan, nil
 }
 
 // MaxFleetChunks is how many chunks FleetChunkSize cuts a sweep into
@@ -401,13 +409,58 @@ func (e *Engine) EvaluateChunk(ctx context.Context, sweep Sweep, model tco.Model
 	return e.EvaluatePlanChunk(ctx, plan, chunk)
 }
 
-// EvaluatePlanChunk evaluates chunk chunk of the plan on this engine.
-// The partition is the same one ExploreContext schedules internally,
-// so evaluating every chunk exactly once (on any mix of processes and
-// engines) and merging with ResultMerger reproduces ExploreContext's
-// Result byte for byte. The engine's thermal-plan cache carries over
-// between chunks, so a worker handling many chunks of one sweep warms
-// up just like a local worker goroutine would.
+// chunkWorker is one worker's state across the chunks of a plan it
+// evaluates: its prune accounting and the point and evaluation-column
+// scratch, which stop growing once they have held the largest chunk, so
+// the steady-state sweep does not allocate per configuration (see
+// BenchmarkRepeatedSweep with -benchmem).
+type chunkWorker struct {
+	e    *Engine
+	plan *SweepPlan
+	ctr  *exploreCounters
+	// claimed counts the geometries claimed by every worker sharing it;
+	// it feeds the plan's Progress callback.
+	claimed *atomic.Int64
+	sum     PruneSummary
+	scratch []Point
+	column  []server.Evaluation
+}
+
+// eval evaluates chunk c of the plan, checking ctx before each
+// geometry and returning its error on abort. With a fold, each
+// geometry's points are folded into it as they are made; without one,
+// the chunk's points are left in w.scratch.
+func (w *chunkWorker) eval(ctx context.Context, c int, fold *foldState) error {
+	lo, hi := w.plan.chunkBounds(c)
+	w.scratch = w.scratch[:0]
+	for _, g := range w.plan.grid.work[lo:hi] {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		done := w.claimed.Add(1)
+		if w.plan.progress != nil {
+			w.plan.progress(int(done), w.plan.Geometries())
+		}
+		w.scratch, w.column = w.e.evalCell(g, w.plan.grid, w.plan.model,
+			w.scratch, w.column, &w.sum, w.ctr)
+		if fold != nil {
+			for i := range w.scratch {
+				fold.add(&w.scratch[i])
+			}
+			w.scratch = w.scratch[:0]
+		}
+	}
+	return nil
+}
+
+// EvaluatePlanChunk evaluates chunk chunk of the plan on this engine,
+// with the chunk evaluator ExploreContext's workers run, so evaluating
+// every chunk exactly once (on any mix of processes and engines) and
+// merging with ResultMerger reproduces ExploreContext's Result byte for
+// byte. The engine's thermal-plan cache carries over between chunks, so
+// a worker handling many chunks of one sweep warms up just like a local
+// worker goroutine would. A Progress callback counts the chunk's own
+// geometries.
 func (e *Engine) EvaluatePlanChunk(ctx context.Context, plan *SweepPlan, chunk int) (ChunkResult, error) {
 	if chunk < 0 || chunk >= plan.NumChunks() {
 		return ChunkResult{}, fmt.Errorf(
@@ -415,23 +468,12 @@ func (e *Engine) EvaluatePlanChunk(ctx context.Context, plan *SweepPlan, chunk i
 			chunk, plan.NumChunks(), plan.chunkSize)
 	}
 	ctr := newExploreCounters(e.rec)
-	lo, hi := plan.chunkBounds(chunk)
-	var (
-		sum     PruneSummary
-		scratch []Point
-		column  []server.Evaluation
-	)
+	cw := chunkWorker{e: e, plan: plan, ctr: &ctr, claimed: new(atomic.Int64)}
 	folded := newFoldState()
-	for _, g := range plan.grid.work[lo:hi] {
-		if err := ctx.Err(); err != nil {
-			return ChunkResult{}, fmt.Errorf("core: chunk %d aborted: %w", chunk, err)
-		}
-		scratch = scratch[:0]
-		scratch, column = e.evalCell(g, plan.grid, plan.model, scratch, column, &sum, &ctr)
-		for i := range scratch {
-			folded.add(&scratch[i])
-		}
+	if err := cw.eval(ctx, chunk, folded); err != nil {
+		return ChunkResult{}, fmt.Errorf("core: chunk %d aborted: %w", chunk, err)
 	}
+	lo, hi := plan.chunkBounds(chunk)
 	w := newChunkWriter(plan.grid, lo, hi)
 	cr := ChunkResult{Chunk: chunk, NumChunks: plan.NumChunks(),
 		Frontier:       w.indices(folded.fold.Points()),
@@ -440,7 +482,7 @@ func (e *Engine) EvaluatePlanChunk(ctx context.Context, plan *SweepPlan, chunk i
 		CostOptimal:    w.optimum(&folded.cost),
 		TCOOptimal:     w.optimum(&folded.tcoOpt),
 		CarbonOptimal:  w.optimum(&folded.carbonOpt),
-		Pruned:         sum}
+		Pruned:         cw.sum}
 	// Set after the literal: the index calls above fill w.points.
 	cr.Points = w.points
 	return cr, nil
@@ -603,16 +645,7 @@ func finishFold(s *foldState, res *Result) {
 	sort.Slice(csurv, func(i, j int) bool { return lessPoint(&csurv[i], &csurv[j]) })
 	cfr := pareto.Frontier(csurv, pointTCO, pointCO2)
 	res.CarbonFrontier = pareto.Select(csurv, cfr)
-	if p := s.energy.point(); p != nil {
-		res.EnergyOptimal = *p
-	}
-	if p := s.cost.point(); p != nil {
-		res.CostOptimal = *p
-	}
-	if p := s.tcoOpt.point(); p != nil {
-		res.TCOOptimal = *p
-	}
-	if p := s.carbonOpt.point(); p != nil {
-		res.CarbonOptimal = *p
-	}
+	// An accumulator that saw no point holds the zero Point.
+	res.EnergyOptimal, res.CostOptimal = s.energy.p, s.cost.p
+	res.TCOOptimal, res.CarbonOptimal = s.tcoOpt.p, s.carbonOpt.p
 }

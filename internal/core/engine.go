@@ -40,10 +40,10 @@ const DefaultChunkSize = 4
 //     engine memoizes its results — and its errors — across successive
 //     sweeps. Repeated sweeps over overlapping grids (studies, figures,
 //     scorecards) stop re-running heat-sink optimization entirely.
-//   - Deterministic chunked scheduling with a streaming Pareto fold, so
-//     frontier-only callers can drop Result.Points retention and run in
-//     O(frontier) memory while getting byte-identical Frontier and
-//     optima.
+//   - Deterministic scheduling of PlanSweep's DefaultChunkSize chunks
+//     with a streaming Pareto fold, so frontier-only callers can drop
+//     Result.Points retention and run in O(frontier) memory while
+//     getting byte-identical Frontier and optima.
 //
 // The zero-value fields select defaults; an Engine must be created with
 // NewEngine. Engines are safe for concurrent use.
@@ -53,9 +53,6 @@ type Engine struct {
 	// set. Frontier and the optima come from the same streaming Pareto
 	// fold either way, so they are byte-identical to a retaining run.
 	DiscardPoints bool
-	// ChunkSize is the number of geometries per scheduling chunk
-	// (0 selects DefaultChunkSize).
-	ChunkSize int
 	// Workers caps the sweep's parallelism (0 selects GOMAXPROCS).
 	// Results do not depend on the worker count or scheduling order.
 	Workers int
@@ -159,6 +156,21 @@ func (e *Engine) thermalPlan(cfg server.Config) (thermal.OptimizeResult, error) 
 // Explore runs the sweep without a deadline; see ExploreContext.
 func (e *Engine) Explore(sweep Sweep, model tco.Model) (Result, error) {
 	return e.ExploreContext(context.Background(), sweep, model)
+}
+
+// FindTCOOptimal returns the sweep's TCO-optimal point: Explore's
+// TCOOptimal, from a sweep that retains no points whatever
+// DiscardPoints says.
+func (e *Engine) FindTCOOptimal(sweep Sweep, model tco.Model) (Point, error) {
+	res, err := e.explore(context.Background(), sweep, model, false)
+	return res.TCOOptimal, err
+}
+
+// FindCarbonOptimal returns the sweep's CO2e-optimal point: Explore's
+// CarbonOptimal, from a sweep that retains no points.
+func (e *Engine) FindCarbonOptimal(sweep Sweep, model tco.Model) (Point, error) {
+	res, err := e.explore(context.Background(), sweep, model, false)
+	return res.CarbonOptimal, err
 }
 
 // evalGeometry evaluates every (stacking option, voltage) configuration
@@ -305,16 +317,6 @@ func (a *optAcc) add(v float64, p *Point) {
 	}
 }
 
-// point returns a copy of the optimum, or nil when no point was
-// offered.
-func (a *optAcc) point() *Point {
-	if !a.ok {
-		return nil
-	}
-	p := a.p
-	return &p
-}
-
 func (a *optAcc) merge(o *optAcc) {
 	if o.ok {
 		a.add(o.v, &o.p)
@@ -372,57 +374,56 @@ type geom struct {
 // summary exactly accounts for the configurations evaluated so far
 // (Generated == Feasible + PrunedTotal still holds on abort).
 //
-// Scheduling is deterministic: the geometry list is split into fixed
-// chunks, workers claim chunks dynamically, every point goes through
-// the order-independent streaming Pareto fold, and retained points are
-// put in lessPoint order, so Result is identical for any worker count
-// and any scheduling interleave.
+// It is PlanSweep at DefaultChunkSize followed by local workers on the
+// plan's chunks. Scheduling is deterministic: workers claim the fixed
+// chunks dynamically, every point goes through the order-independent
+// streaming Pareto fold, and retained points are put in lessPoint
+// order, so Result is identical for any worker count and any
+// scheduling interleave.
 func (e *Engine) ExploreContext(ctx context.Context, sweep Sweep, model tco.Model) (Result, error) {
-	if err := model.Validate(); err != nil {
-		return Result{}, err
-	}
-	if err := sweep.Base.RCA.Validate(); err != nil {
-		return Result{}, err
-	}
+	return e.explore(ctx, sweep, model, !e.DiscardPoints)
+}
 
-	rec := e.rec
+// explore is ExploreContext with point retention chosen per call, so
+// callers that read no points do not have to set DiscardPoints on a
+// shared engine.
+func (e *Engine) explore(ctx context.Context, sweep Sweep, model tco.Model, keep bool) (Result, error) {
 	// Parent under whatever the context carries (the daemon's job span,
 	// a remote traceparent) so one request is one connected trace; with
 	// a bare context this starts a fresh trace, as Explore always did.
-	ctx, root := rec.StartSpan(ctx, "explore")
+	ctx, root := e.rec.StartSpan(ctx, "explore")
 	defer root.End()
+	gridSpan := root.Child("grid_build")
+	plan, err := planSweep(sweep, model, DefaultChunkSize)
+	gridSpan.End()
+	if err != nil {
+		if plan != nil {
+			return Result{Pruned: plan.GridSummary()}, err
+		}
+		return Result{}, err
+	}
+	return e.explorePlan(ctx, plan, keep)
+}
+
+// explorePlan sweeps every chunk of the plan on local workers and
+// reduces them to a Result; keep also gathers every feasible point
+// into Result.Points.
+func (e *Engine) explorePlan(ctx context.Context, plan *SweepPlan, keep bool) (Result, error) {
+	rec := e.rec
 	log := obs.OrNop(e.Log)
 	from := time.Now()
 	hits0, misses0 := e.hits.Load(), e.misses.Load()
 	ctr := newExploreCounters(rec)
-
-	gridSpan := root.Child("grid_build")
-	grid, err := buildGrid(sweep)
-	if err != nil {
-		gridSpan.End()
-		return Result{}, err
-	}
-	work := grid.work
 	// Quantized cells enter (and leave) the pipeline at grid build; the
 	// surviving geometries are counted as workers actually claim them,
 	// so an aborted sweep's accounting stays exact.
-	summary := grid.summary
+	summary := plan.GridSummary()
 	ctr.configs.Add(summary.Generated)
 	ctr.quantized.Add(summary.Reasons[PruneQuantization])
 	ctr.duplicates.Add(summary.Duplicates)
-	gridSpan.End()
-	if len(work) == 0 {
-		return Result{Pruned: summary}, emptySpaceError(summary)
-	}
 
-	sweepSpan := root.Child("sweep")
-	sweepCtx := obs.WithSpan(ctx, sweepSpan)
-	chunk := e.ChunkSize
-	if chunk <= 0 {
-		chunk = DefaultChunkSize
-	}
-	numChunks := (len(work) + chunk - 1) / chunk
-	keep := !e.DiscardPoints
+	sweepCtx, sweepSpan := rec.StartSpan(ctx, "sweep")
+	numChunks, geoms := plan.NumChunks(), plan.Geometries()
 	var chunkPoints [][]Point
 	if keep {
 		chunkPoints = make([][]Point, numChunks)
@@ -432,84 +433,63 @@ func (e *Engine) ExploreContext(ctx context.Context, sweep Sweep, model tco.Mode
 		mu        sync.Mutex
 		wg        sync.WaitGroup
 		nextChunk atomic.Int64
-		processed atomic.Int64
+		claimed   atomic.Int64
 	)
 	workers := e.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > numChunks {
-		workers = numChunks
-	}
+	workers = min(workers, numChunks)
 	log.LogAttrs(ctx, slog.LevelInfo, "sweep started",
-		slog.Int("geometries", len(work)),
+		slog.Int("geometries", geoms),
 		slog.Int("workers", workers),
 		slog.Int("chunks", numChunks),
-		slog.Int("voltages", len(grid.voltages)))
+		slog.Int("voltages", len(plan.grid.voltages)))
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
-			var (
-				localSum   PruneSummary
-				local      = newFoldState()
-				workerFrom = time.Now()
-				busy       time.Duration
-				// Per-worker scratch, reused across every chunk this
-				// worker claims: the point buffer and the evaluation
-				// column buffer stop growing once they have seen the
-				// largest chunk, so the steady-state sweep does not
-				// allocate per configuration (see BenchmarkRepeatedSweep
-				// with -benchmem).
-				scratch []Point
-				column  []server.Evaluation
-			)
+			cw := chunkWorker{e: e, plan: plan, ctr: &ctr, claimed: &claimed}
+			// Without retention each geometry's points are folded as
+			// they are made; with it they stay in the worker's scratch
+			// until the chunk is copied out.
+			var local *foldState
+			if !keep {
+				local = newFoldState()
+			}
+			workerFrom := time.Now()
+			var busy time.Duration
 			for ctx.Err() == nil {
 				c := int(nextChunk.Add(1)) - 1
 				if c >= numChunks {
 					break
 				}
 				_, chunkSpan := rec.StartSpan(sweepCtx, "chunk")
-				lo := c * chunk
-				hi := lo + chunk
-				if hi > len(work) {
-					hi = len(work)
-				}
-				scratch = scratch[:0]
-				for _, g := range work[lo:hi] {
-					if ctx.Err() != nil {
-						break
-					}
-					geomFrom := time.Now()
-					done := processed.Add(1)
-					if sweep.Progress != nil {
-						sweep.Progress(int(done), len(work))
-					}
-					scratch, column = e.evalCell(g, grid, model,
-						scratch, column, &localSum, &ctr)
-					busy += time.Since(geomFrom)
-				}
+				chunkFrom := time.Now()
+				err := cw.eval(ctx, c, local)
+				busy += time.Since(chunkFrom)
 				if keep {
 					// Retained chunks get an exact-size copy so the
 					// scratch stays with the worker and Result.Points
 					// carries no append slack.
-					pts := make([]Point, len(scratch))
-					copy(pts, scratch)
+					pts := make([]Point, len(cw.scratch))
+					copy(pts, cw.scratch)
 					chunkPoints[c] = pts
-				} else {
-					for i := range scratch {
-						local.add(&scratch[i])
-					}
 				}
 				chunkSpan.End()
+				if err != nil {
+					break // the abort is reported once every worker is done
+				}
 			}
 			if total := time.Since(workerFrom); total > 0 {
 				rec.Gauge("asiccloud_explore_worker_utilization",
 					"worker", strconv.Itoa(worker)).Set(busy.Seconds() / total.Seconds())
 			}
 			mu.Lock()
-			summary.merge(localSum)
-			folded.merge(local)
+			summary.merge(cw.sum)
+			if local != nil {
+				folded.merge(local)
+			}
 			mu.Unlock()
 		}(w)
 	}
@@ -518,12 +498,12 @@ func (e *Engine) ExploreContext(ctx context.Context, sweep Sweep, model tco.Mode
 
 	if err := ctx.Err(); err != nil {
 		log.LogAttrs(ctx, slog.LevelWarn, "sweep aborted",
-			slog.Int64("processed_geometries", processed.Load()),
-			slog.Int("total_geometries", len(work)),
+			slog.Int64("processed_geometries", claimed.Load()),
+			slog.Int("total_geometries", geoms),
 			slog.String("cause", err.Error()))
 		return Result{Pruned: summary}, fmt.Errorf(
 			"core: exploration aborted after %d of %d geometries (%s): %w",
-			processed.Load(), len(work), summary, err)
+			claimed.Load(), geoms, summary, err)
 	}
 	log.LogAttrs(ctx, slog.LevelInfo, "sweep finished",
 		slog.Int64("generated", summary.Generated),
@@ -536,7 +516,7 @@ func (e *Engine) ExploreContext(ctx context.Context, sweep Sweep, model tco.Mode
 			"core: no feasible design point in the swept space (%s)", summary)
 	}
 
-	paretoSpan := root.Child("pareto")
+	_, paretoSpan := rec.StartSpan(ctx, "pareto")
 	res := Result{Pruned: summary}
 	if keep {
 		// The retained points are folded once they are in place, by
@@ -560,11 +540,10 @@ func (e *Engine) ExploreContext(ctx context.Context, sweep Sweep, model tco.Mode
 // NormalizeVoltages returns a sorted, de-duplicated copy of a
 // user-supplied voltage grid (V), rejecting non-positive (or NaN)
 // entries outright — operating voltages are physical quantities, and
-// both Explore's thermal early break and FindTCOOptimal's
-// coarse-then-refine pass assume an ascending grid. It is exported so
-// request canonicalizers (the asiccloudd service) can apply exactly the
-// normalization the engine will, making "same grid after normalization"
-// and "same request hash" the same statement.
+// the sweep's thermal early break assumes an ascending grid. It is
+// exported so request canonicalizers (the asiccloudd service) can apply
+// exactly the normalization the engine will, making "same grid after
+// normalization" and "same request hash" the same statement.
 func NormalizeVoltages(vs []float64) ([]float64, error) {
 	out := make([]float64, 0, len(vs))
 	for _, v := range vs {

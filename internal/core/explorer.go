@@ -49,12 +49,13 @@ type Sweep struct {
 
 	// Progress, when non-nil, is invoked as each deduplicated geometry
 	// cell is claimed for evaluation, with the count of geometries
-	// claimed so far and the total in the work list. Long-running
-	// callers (the asiccloudd job service, TUIs) use it to report how
-	// far a sweep has advanced and to decide when to cancel. It is
-	// called concurrently from the sweep's worker goroutines, so it
-	// must be safe for concurrent use and cheap — an atomic store or a
-	// non-blocking send; a blocking callback stalls the sweep.
+	// claimed so far (by the sweep, or by one EvaluateChunk call) and
+	// the total in the work list. Long-running callers (the asiccloudd
+	// job service, TUIs) use it to report how far a sweep has advanced
+	// and to decide when to cancel. It is called concurrently from the
+	// sweep's worker goroutines, so it must be safe for concurrent use
+	// and cheap — an atomic store or a non-blocking send; a blocking
+	// callback stalls the sweep.
 	Progress func(done, total int)
 }
 
@@ -269,6 +270,18 @@ func ExploreContext(ctx context.Context, sweep Sweep, model tco.Model, recorder 
 		rec = recorder[0]
 	}
 	return NewEngine(rec).ExploreContext(ctx, sweep, model)
+}
+
+// FindTCOOptimal is Engine.FindTCOOptimal over a fresh Engine. Callers
+// that also Explore should share one Engine so both reuse the same
+// thermal-plan cache.
+func FindTCOOptimal(sweep Sweep, model tco.Model) (Point, error) {
+	return NewEngine(nil).FindTCOOptimal(sweep, model)
+}
+
+// FindCarbonOptimal is Engine.FindCarbonOptimal over a fresh Engine.
+func FindCarbonOptimal(sweep Sweep, model tco.Model) (Point, error) {
+	return NewEngine(nil).FindCarbonOptimal(sweep, model)
 }
 
 // Describe renders a point like the paper's per-application tables.

@@ -2,8 +2,10 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
+	"asiccloud/internal/carbon"
 	"asiccloud/internal/dram"
 	"asiccloud/internal/pareto"
 	"asiccloud/internal/server"
@@ -278,47 +280,119 @@ func contains(s, sub string) bool {
 	return false
 }
 
-func TestFindTCOOptimalMatchesBruteForce(t *testing.T) {
-	sweep := smallSweep()
+// sparseSweep is smallSweep over an irregular, unsorted voltage set: two
+// clusters with a hole, and a duplicate.
+func sparseSweep() Sweep {
+	s := smallSweep()
+	s.Voltages = []float64{0.62, 0.40, 0.42, 0.44, 0.46, 0.48, 0.60, 0.64, 0.44}
+	return s
+}
+
+// requireTCOOptimalMatchesExplore checks that FindTCOOptimal returns
+// exactly Explore's TCOOptimal for sweep, and returns it.
+func requireTCOOptimalMatchesExplore(t *testing.T, sweep Sweep) Point {
+	t.Helper()
 	full, err := Explore(sweep, tco.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := FindTCOOptimal(sweep, tco.Default())
+	opt, err := FindTCOOptimal(sweep, tco.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The refinement must land on (or within a whisker of) the brute
-	// force optimum.
-	if fast.TCOPerOp() > full.TCOOptimal.TCOPerOp()*1.005 {
-		t.Errorf("fast TCO %v vs brute force %v", fast.TCOPerOp(), full.TCOOptimal.TCOPerOp())
+	if !reflect.DeepEqual(opt, full.TCOOptimal) {
+		t.Errorf("FindTCOOptimal: %s\nExplore:        %s",
+			opt.Describe(), full.TCOOptimal.Describe())
+	}
+	return opt
+}
+
+// requireCarbonOptimalMatchesExplore is requireTCOOptimalMatchesExplore
+// for FindCarbonOptimal and Explore's CarbonOptimal.
+func requireCarbonOptimalMatchesExplore(t *testing.T, sweep Sweep) Point {
+	t.Helper()
+	full, err := Explore(sweep, tco.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt, err := FindCarbonOptimal(sweep, tco.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(opt, full.CarbonOptimal) {
+		t.Errorf("FindCarbonOptimal: %s\nExplore:          %s",
+			opt.Describe(), full.CarbonOptimal.Describe())
+	}
+	return opt
+}
+
+// requireVoltageInSet fails unless p was built at one of sweep's voltages.
+func requireVoltageInSet(t *testing.T, p Point, sweep Sweep) {
+	t.Helper()
+	for _, v := range sweep.Voltages {
+		if math.Abs(p.Config.Voltage-v) < 1e-12 {
+			return
+		}
+	}
+	t.Fatalf("optimum at %.3f V, not in the supplied set %v", p.Config.Voltage, sweep.Voltages)
+}
+
+func TestFindTCOOptimalMatchesBruteForce(t *testing.T) {
+	requireTCOOptimalMatchesExplore(t, smallSweep())
+}
+
+func TestFindTCOOptimalHonorsSparseVoltageSet(t *testing.T) {
+	sweep := sparseSweep()
+	requireVoltageInSet(t, requireTCOOptimalMatchesExplore(t, sweep), sweep)
+}
+
+// TestFindOptimaMatchExplore checks that FindTCOOptimal and
+// FindCarbonOptimal return exactly Explore's TCOOptimal and
+// CarbonOptimal on a stacked sweep (whose optimum is a voltage-stacked
+// server) and under non-default carbon models.
+func TestFindOptimaMatchExplore(t *testing.T) {
+	dirty, clean := carbon.ForGrid(800), carbon.ForGrid(0)
+	for name, sweep := range map[string]Sweep{
+		"stacked":    func() Sweep { s := smallSweep(); s.Stacked = true; return s }(),
+		"dirty-grid": func() Sweep { s := smallSweep(); s.Carbon = &dirty; return s }(),
+		"clean-grid": func() Sweep { s := smallSweep(); s.Carbon = &clean; return s }(),
+	} {
+		t.Run(name, func(t *testing.T) {
+			requireTCOOptimalMatchesExplore(t, sweep)
+			requireCarbonOptimalMatchesExplore(t, sweep)
+		})
 	}
 }
 
 func TestFindTCOOptimalFullSpace(t *testing.T) {
-	fast, err := FindTCOOptimal(Sweep{Base: server.Default(bitcoinRCA())}, tco.Default())
+	opt, err := FindTCOOptimal(Sweep{Base: server.Default(bitcoinRCA())}, tco.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fast.Config.Voltage < 0.44 || fast.Config.Voltage > 0.54 {
-		t.Errorf("fast TCO-optimal voltage %v, want ~0.48", fast.Config.Voltage)
+	if opt.Config.Voltage < 0.44 || opt.Config.Voltage > 0.54 {
+		t.Errorf("TCO-optimal voltage %v, want ~0.48", opt.Config.Voltage)
 	}
 }
 
 func TestFindTCOOptimalErrors(t *testing.T) {
-	sweep := smallSweep()
-	sweep.ChipsPerLane = []int{200}
-	if _, err := FindTCOOptimal(sweep, tco.Default()); err == nil {
-		t.Error("infeasible space should fail")
-	}
-	bad := tco.Default()
-	bad.PUE = 0.5
-	if _, err := FindTCOOptimal(smallSweep(), bad); err == nil {
-		t.Error("invalid model should fail")
-	}
-	sweep = smallSweep()
-	sweep.Base.RCA.Area = -1
-	if _, err := FindTCOOptimal(sweep, tco.Default()); err == nil {
-		t.Error("invalid RCA should fail")
+	badModel := tco.Default()
+	badModel.PUE = 0.5
+	for _, tc := range []struct {
+		name  string
+		sweep func(*Sweep)
+		model tco.Model
+	}{
+		{"infeasible space", func(s *Sweep) { s.ChipsPerLane = []int{200} }, tco.Default()},
+		{"invalid TCO model", func(*Sweep) {}, badModel},
+		{"invalid RCA", func(s *Sweep) { s.Base.RCA.Area = -1 }, tco.Default()},
+	} {
+		sweep := smallSweep()
+		tc.sweep(&sweep)
+		if _, err := FindTCOOptimal(sweep, tc.model); err == nil {
+			t.Errorf("%s: FindTCOOptimal should fail", tc.name)
+		}
+		if _, err := FindCarbonOptimal(sweep, tc.model); err == nil {
+			t.Errorf("%s: FindCarbonOptimal should fail", tc.name)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"math/rand"
@@ -41,11 +42,14 @@ func TestKeepPathOrderMatchesLessPointSort(t *testing.T) {
 	sweep := smallSweep()
 	sweep.Stacked = true
 	rng := rand.New(rand.NewSource(7))
+	plan, err := PlanSweep(sweep, tco.Default(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for workers := 1; workers <= 4; workers++ {
 		eng := NewEngine(nil)
 		eng.Workers = workers
-		eng.ChunkSize = 1
-		res, err := eng.Explore(sweep, tco.Default())
+		res, err := eng.explorePlan(context.Background(), plan, true)
 		if err != nil {
 			t.Fatal(err)
 		}

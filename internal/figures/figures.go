@@ -194,8 +194,14 @@ func Figure10() (Artifact, error) {
 // The full per-application explorations feed several figures each; they
 // are deterministic, so cache them per process. They share one engine:
 // the plain and stacked Bitcoin sweeps cover the same geometries, so the
-// second skips heat-sink optimization entirely via the plan cache.
-var engine = core.NewEngine(nil)
+// second skips heat-sink optimization entirely via the plan cache. The
+// figures read only optima and frontiers, so it retains no points;
+// Figure 11 runs its own retaining sweep.
+var engine = func() *core.Engine {
+	e := core.NewEngine(nil)
+	e.DiscardPoints = true
+	return e
+}()
 
 var (
 	bitcoinOnce, bitcoinStackedOnce, litecoinOnce, xcodeOnce sync.Once
@@ -230,16 +236,16 @@ func litecoinExplore() (core.Result, error) {
 
 // Figure11 shows Bitcoin $ per GH/s versus power density by voltage.
 func Figure11() (Artifact, error) {
-	res, err := bitcoinExplore()
+	// Sample voltages at the 10-chips-per-lane slice, like the paper. A
+	// chips=10 geometry deduplicates only against other chips=10 cells,
+	// so this sweep's points are exactly the full sweep's chips=10
+	// points, in the same order.
+	res, err := core.Explore(core.Sweep{Base: server.Default(appbitcoin.RCA()), ChipsPerLane: []int{10}}, tco.Default())
 	if err != nil {
 		return Artifact{}, err
 	}
-	// Sample voltages at the 10-chips-per-lane slice, like the paper.
 	var rows [][]string
 	for _, p := range res.Points {
-		if p.Config.ChipsPerLane != 10 {
-			continue
-		}
 		v := p.Config.Voltage
 		sampled := false
 		for _, want := range []float64{0.40, 0.45, 0.50, 0.55, 0.60, 0.62} {

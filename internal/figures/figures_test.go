@@ -1,6 +1,8 @@
 package figures
 
 import (
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -293,6 +295,47 @@ func TestAllArtifacts(t *testing.T) {
 		}
 		if a.Text == "" || a.CSV == "" {
 			t.Errorf("%s has empty renderings", a.ID)
+		}
+	}
+}
+
+// TestArtifactsMatchResults renders every artifact and compares its
+// text and CSV byte for byte with the committed results/ directory,
+// which must hold nothing else but lint.json.
+func TestArtifactsMatchResults(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full artifact regeneration skipped in -short mode")
+	}
+	all, err := All()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext, err := Extensions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join("..", "..", "results")
+	want := map[string]bool{"lint.json": true}
+	for _, a := range append(all, ext...) {
+		for name, got := range map[string]string{a.ID + ".txt": a.Text, a.ID + ".csv": a.CSV} {
+			want[name] = true
+			b, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil {
+				t.Error(err)
+				continue
+			}
+			if string(b) != got {
+				t.Errorf("%s differs from the rendered artifact", name)
+			}
+		}
+	}
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if !want[f.Name()] {
+			t.Errorf("results/%s is not a rendered artifact", f.Name())
 		}
 	}
 }
